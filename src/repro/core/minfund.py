@@ -112,18 +112,27 @@ def proportional_targets(
     if total >= ceil_sum:
         return {c.label: c.hi for c in claims}
 
+    bounds = [(c.shares, c.lo, c.hi) for c in claims]
+
     def placed(level: float) -> float:
-        return sum(
-            min(max(level * c.shares, c.lo), c.hi) for c in claims
-        )
+        # inline form of min(max(level * shares, lo), hi): same value
+        # (and same operand kept on ties) since lo <= hi
+        return sum([
+            lo if (x := level * shares) < lo else (hi if x > hi else x)
+            for shares, lo, hi in bounds
+        ])
 
     lo_level = 0.0
     hi_level = max(c.hi / c.shares for c in claims)
     for _ in range(80):  # ~1e-24 relative precision, overkill but cheap
         mid = (lo_level + hi_level) / 2
         if placed(mid) < total:
+            if mid == lo_level:
+                break  # bracket unchanged: every later pass repeats this
             lo_level = mid
         else:
+            if mid == hi_level:
+                break
             hi_level = mid
     level = (lo_level + hi_level) / 2
     return {

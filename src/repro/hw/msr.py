@@ -15,7 +15,7 @@ the driver layer reads like real systems code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import MSRAddressError, MSRPermissionError, PlatformError
 
@@ -136,6 +136,25 @@ class MSRFile:
         APERF/MPERF, instructions retired) that are read-only to software.
         """
         self._values[self._slot(cpu, address)] = value & U64_MASK
+
+    def slots(self, address: int) -> list[tuple[int, int]]:
+        """Value slots of a registered MSR, one per CPU.
+
+        Package-scope registers alias every CPU to one slot.  Raises
+        :class:`MSRAddressError` for an unregistered address, so a
+        publisher that resolves its slots up front validates once.
+        """
+        if self.definition(address).package_scope:
+            return [(0, address)] * self._n_cpus
+        return [(cpu, address) for cpu in range(self._n_cpus)]
+
+    def poke_slots(
+        self, slots: Iterable[tuple[int, int]], values: Iterable[int]
+    ) -> None:
+        """:meth:`poke` each value into a slot taken from :meth:`slots`."""
+        store = self._values
+        for slot, value in zip(slots, values):
+            store[slot] = value & U64_MASK
 
     def advance_counter(
         self, cpu: int, address: int, delta: int, *, wrap_mask: int = U64_MASK

@@ -103,9 +103,13 @@ class Chip:
         #: its cached static rows on it, so a refresh triggered by the
         #: scalar path (which consumes ``_dirty``) still invalidates them
         self._view_generation = 0
+        #: bumped when a load is assigned or a core (un)parked: the
+        #: array engine's placement rows depend on nothing else
+        self._placement_generation = 0
         self._base_effective_mhz = [0.0] * n
         self._prev_sample_done = [False] * n
         self._register_msrs()
+        self._bind_counter_slots()
 
     # -- MSR surface ---------------------------------------------------------
 
@@ -134,6 +138,25 @@ class Chip:
         reg(MSRDef(msrdef.IA32_APERF, "IA32_APERF"))
         reg(MSRDef(msrdef.IA32_MPERF, "IA32_MPERF"))
         reg(MSRDef(msrdef.IA32_FIXED_CTR0, "IA32_FIXED_CTR0"))
+
+    def _bind_counter_slots(self) -> None:
+        """Resolve the MSR slots :meth:`flush_counters` publishes into.
+
+        Validating the addresses here, once, lets every flush store
+        straight into the register file.
+        """
+        slots = self.msr.slots
+        if self.platform.vendor == "intel":
+            self._pkg_energy_slot = slots(msrdef.MSR_PKG_ENERGY_STATUS)[:1]
+            self._status_slots = slots(msrdef.IA32_PERF_STATUS)
+            self._core_energy_slots: list[tuple[int, int]] = []
+        else:
+            self._pkg_energy_slot = slots(msrdef.MSR_AMD_PKG_ENERGY)[:1]
+            self._status_slots = slots(msrdef.MSR_AMD_PSTATE_STATUS)
+            self._core_energy_slots = slots(msrdef.MSR_AMD_CORE_ENERGY)
+        self._aperf_slots = slots(msrdef.IA32_APERF)
+        self._mperf_slots = slots(msrdef.IA32_MPERF)
+        self._instr_slots = slots(msrdef.IA32_FIXED_CTR0)
 
     def _on_perf_ctl_write(self, cpu: int, value: int) -> None:
         ratio = (value >> _INTEL_RATIO_SHIFT) & 0xFF
@@ -173,6 +196,7 @@ class Chip:
         self.platform.validate_core(core_id)
         self.cores[core_id].assign(load)
         self._dirty = True
+        self._placement_generation += 1
 
     def park(self, core_id: int, parked: bool = True) -> None:
         """Force a core into (or out of) deep idle (C6)."""
@@ -181,6 +205,7 @@ class Chip:
         if core.parked != parked:
             core.parked = parked
             self._dirty = True
+            self._placement_generation += 1
 
     def attach_cluster(self, cluster: WebsearchCluster) -> None:
         for core_id in cluster.core_ids:
@@ -324,36 +349,33 @@ class Chip:
         engine flushes before every periodic software callback, and any
         direct MSR consumer (tests, ad-hoc telemetry) should flush first.
         """
-        intel = self.platform.vendor == "intel"
-        if intel:
-            self.msr.poke(
-                0, msrdef.MSR_PKG_ENERGY_STATUS, self.energy.package_energy_uj
+        poke = self.msr.poke_slots
+        poke(self._pkg_energy_slot, (self.energy.package_energy_uj,))
+        poke(self._aperf_slots, [int(v) for v in self._aperf_cycles])
+        poke(self._mperf_slots, [int(v) for v in self._mperf_cycles])
+        poke(self._instr_slots, [int(v) for v in self._instr_total])
+        if self.platform.vendor == "intel":
+            poke(
+                self._status_slots,
+                [
+                    int(core.effective_mhz // _INTEL_BUS_MHZ)
+                    << _INTEL_RATIO_SHIFT
+                    for core in self.cores
+                ],
             )
         else:
-            self.msr.poke(
-                0, msrdef.MSR_AMD_PKG_ENERGY, self.energy.package_energy_uj
+            poke(
+                self._status_slots,
+                [
+                    int(core.effective_mhz // _AMD_STEP_MHZ)
+                    for core in self.cores
+                ],
             )
-        for core in self.cores:
-            cpu = core.core_id
-            self.msr.poke(cpu, msrdef.IA32_APERF, int(self._aperf_cycles[cpu]))
-            self.msr.poke(cpu, msrdef.IA32_MPERF, int(self._mperf_cycles[cpu]))
-            self.msr.poke(
-                cpu, msrdef.IA32_FIXED_CTR0, int(self._instr_total[cpu])
+            core_energy_uj = self.energy.core_energy_uj
+            poke(
+                self._core_energy_slots,
+                [core_energy_uj(core.core_id) for core in self.cores],
             )
-            if intel:
-                ratio = int(core.effective_mhz // _INTEL_BUS_MHZ)
-                self.msr.poke(
-                    cpu, msrdef.IA32_PERF_STATUS, ratio << _INTEL_RATIO_SHIFT
-                )
-            else:
-                self.msr.poke(
-                    cpu, msrdef.MSR_AMD_PSTATE_STATUS,
-                    int(core.effective_mhz // _AMD_STEP_MHZ),
-                )
-                self.msr.poke(
-                    cpu, msrdef.MSR_AMD_CORE_ENERGY,
-                    self.energy.core_energy_uj(cpu),
-                )
 
     def advance_ticks(self, n: int) -> None:
         """Advance ``n`` ticks back-to-back *without* flushing counters.

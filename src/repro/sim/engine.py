@@ -190,8 +190,11 @@ class SimEngine:
             raise SimulationError("gate returned a negative deferral")
         return max(1, int(round(delay_s / self.chip.tick_s)))
 
-    def _process_due_callbacks(self) -> None:
-        """Fire every periodic/one-shot due at the current tick count."""
+    def _process_due_callbacks(self) -> bool:
+        """Fire every periodic/one-shot due at the current tick count.
+
+        Returns whether the counters were flushed for them.
+        """
         flushed = False
         for periodic in self._periodics:
             if self._ticks_run < periodic.next_due:
@@ -235,6 +238,7 @@ class SimEngine:
             self._oneshots = [
                 o for o in self._oneshots if not o.fired
             ]
+        return flushed
 
     def _gap_to_next_deadline(self, remaining: int) -> int:
         """Ticks until the earliest pending deadline, capped and >= 1."""
@@ -321,19 +325,25 @@ run_ticks` would.  Semantically equivalent to running each engine's
     if not gang:
         return
     chips = [engine.chip for engine in gang]
+    # engines whose callbacks latched the counters after the last tick;
+    # no tick has run since, so their closing flush would repeat it
+    flushed: set[int] = set()
     remaining = n_ticks
     while remaining > 0:
         gap = min(
             engine._gap_to_next_deadline(remaining) for engine in gang
         )
         soa.advance_chips(chips, gap)
-        for engine in gang:
+        flushed.clear()
+        for idx, engine in enumerate(gang):
             engine._ticks_run += gap
             engine.batched_segments += 1
-            engine._process_due_callbacks()
+            if engine._process_due_callbacks():
+                flushed.add(idx)
         remaining -= gap
-    for engine in gang:
-        engine.chip.flush_counters()
+    for idx, engine in enumerate(gang):
+        if idx not in flushed:
+            engine.chip.flush_counters()
         if engine.sanitizer is not None and n_ticks > 0:
             engine.sanitizer.record(
                 engine._ticks_run, "chip", _chip_digest(engine.chip)

@@ -15,8 +15,9 @@ to the scalar reference.  That holds because
 
 * every elementwise formula replicates the scalar association order
   (:mod:`repro.sim.kernel`);
-* order-sensitive accumulators use strictly-sequential
-  ``np.add.accumulate`` seeded with the live running value;
+* order-sensitive accumulators are strictly sequential, seeded with
+  the live running value: ``np.add.accumulate`` where every partial
+  sum is needed, an in-place row fold where only the last one is;
 * batches are *optimistically* sized and cut at the first tick whose
   behaviour diverges from the batch's invariants: a load finishing (the
   turbo ceiling changes next tick), a ``done`` flip re-marking the chip
@@ -33,13 +34,16 @@ to the scalar reference.  That holds because
   with fewer than two points, gaps shorter than :data:`MIN_BATCH_TICKS`,
   or numpy being unavailable.
 
-Gathering is two-tier.  Rows derived from the resolved P-state view and
-the load placement (:class:`_ChipStatic`) are cached on the chip and
-rebuilt only when the chip is dirty — every mutation that can change
-them (``set_requested_frequency``, ``park``, ``assign_load``, a ``done``
-flip) marks the chip dirty.  The one mutation that does *not* is an app
-externally marked finished (crash faults); that is why the ``running``
-mask is re-read every batch.
+Gathering is two-tier.  Rows cached on the chip come in two sets,
+split by what invalidates them: placement rows (:class:`_PlacementRows`:
+app models, C-state increments, platform constants) change only when a
+load is assigned or a core is parked, and frequency rows
+(:class:`_FrequencyRows`) whenever the chip re-resolves its P-state
+view — every mutation that can change them (``set_requested_frequency``,
+``park``, ``assign_load``, a ``done`` flip) marks the chip dirty.  The
+one mutation that does *not* is an app externally marked finished
+(crash faults); that is why the ``running`` mask is re-read every
+batch.
 """
 
 from __future__ import annotations
@@ -123,31 +127,23 @@ def chip_supports_array(chip: "Chip") -> bool:
     return True
 
 
-class _ChipStatic:
-    """Gather rows valid until the chip next re-resolves its P-state view.
+class _PlacementRows:
+    """Gather rows valid until a load is assigned or a core is parked.
 
-    Everything here is a pure function of the resolved base frequencies,
-    the load placement, and the platform constants.  Rows come in
-    *running* and *idle* variants (the scalar loop evaluates the same
-    elementwise formulas at ``eff = base`` for busy lanes and
-    ``eff = reference`` for idle/parked lanes); the per-batch step
-    selects between them with the live ``running`` mask, which keeps the
-    precomputation bit-identical to evaluating on the masked frequency
-    row directly.
+    Everything here is a pure function of the load placement (which
+    app model runs on which unparked core) and the platform constants.
+    Rows that the scalar loop evaluates at ``eff = reference`` for idle
+    and parked lanes live here too, since the reference frequency is a
+    property of the load, not of the P-state view.
     """
 
     def __init__(self, chip: "Chip"):
         self.serial = next(_STATIC_SERIAL)
-        self.view_generation = chip._view_generation
+        self.generation = chip._placement_generation
         platform = chip.platform
         power = platform.power
         dt = chip.tick_s
         self.grid_f, self.grid_v = _grid_arrays(platform.pstates)
-        base = list(chip._base_effective_mhz)
-        # parked cores carry base 0.0, so this is the fastest *unparked*
-        # base frequency: the threshold below which the RAPL cap clips
-        self.base_max = max(base) if base else 0.0
-        self.base_list = base
         self.n = len(chip.cores)
         self.uncore = power.uncore_watts
         self.wake_eff = max(0.0, 1.0 - EXIT_LATENCY_S[CState.C6] / dt)
@@ -202,34 +198,22 @@ class _ChipStatic:
         self.has_budget = any(not math.isinf(b) for b in budget)
 
         n = self.n
-        base_row = np.asarray(base, dtype=np.float64)
         ref_row = np.asarray(ref, dtype=np.float64)
-        mem_row = np.asarray(mem, dtype=np.float64)
-        ipc_row = np.asarray(base_ipc, dtype=np.float64)
-        stall_row = np.asarray(stall, dtype=np.float64)
-        # running lanes always have base > 0 (parked lanes are the only
-        # zero entries); guard the precomputed running view against the
-        # division anyway — those lanes are masked out of every use
-        eff_run = np.where(base_row > 0.0, base_row, ref_row)
-        rate_run, factor_run = kernel.roofline_rows(
-            eff_run, ref_row, mem_row, ipc_row, stall_row
-        )
+        # the roofline inputs the frequency rows re-evaluate at base
+        self.ref_row = ref_row
+        self.mem_row = np.asarray(mem, dtype=np.float64)
+        self.ipc_row = np.asarray(base_ipc, dtype=np.float64)
+        self.stall_row = np.asarray(stall, dtype=np.float64)
         rate_idle, factor_idle = kernel.roofline_rows(
-            ref_row, ref_row, mem_row, ipc_row, stall_row
+            ref_row, ref_row, self.mem_row, self.ipc_row, self.stall_row
         )
+        parked_arr = np.asarray(parked, dtype=bool)
         tsc_scaled = (chip._tsc_mhz * 1e6) * dt
         self.rows: dict[str, "np.ndarray"] = {
-            "base_row": base_row,
-            "ref_row": ref_row,
-            "rate_run": rate_run,
             "rate_idle": rate_idle,
-            "factor_run": factor_run,
             "factor_idle": factor_idle,
-            "volt_run": kernel.voltage_rows(eff_run, self.grid_f, self.grid_v),
             "volt_idle": kernel.voltage_rows(ref_row, self.grid_f, self.grid_v),
-            "fghz_run": base_row / 1000.0,
             "fghz_idle": ref_row / 1000.0,
-            "aperf_run": (base_row * 1e6) * dt,
             "mperf_run": np.full(n, tsc_scaled, dtype=np.float64),
             "ceff_row": np.asarray(ceff, dtype=np.float64),
             "period_row": np.asarray(period, dtype=np.float64),
@@ -241,36 +225,91 @@ class _ChipStatic:
             "leak_row": np.full(n, power.leak_coeff_w_per_v, dtype=np.float64),
             "idle_row": np.full(n, power.idle_core_watts, dtype=np.float64),
             "wake_row": np.full(n, self.wake_eff, dtype=np.float64),
-            "c1_idle": np.where(np.asarray(parked, dtype=bool), 0.0, dt),
-            "c6_inc": np.where(np.asarray(parked, dtype=bool), dt, 0.0),
+            "c1_idle": np.where(parked_arr, 0.0, dt),
+            "c6_inc": np.where(parked_arr, dt, 0.0),
+        }
+
+
+class _FrequencyRows:
+    """Gather rows valid until the chip next re-resolves its P-state view.
+
+    The scalar loop evaluates the roofline, V/f and counter formulas at
+    ``eff = base`` for busy lanes; these are those *running* variants
+    (the idle ones, at ``eff = reference``, sit in
+    :class:`_PlacementRows`).  The per-batch step selects between the
+    two with the live ``running`` mask, which keeps the precomputation
+    bit-identical to evaluating on the masked frequency row directly.
+    """
+
+    def __init__(self, chip: "Chip", placement: _PlacementRows):
+        self.view_generation = chip._view_generation
+        dt = chip.tick_s
+        base = list(chip._base_effective_mhz)
+        # parked cores carry base 0.0, so this is the fastest *unparked*
+        # base frequency: the threshold below which the RAPL cap clips
+        self.base_max = max(base) if base else 0.0
+        self.base_list = base
+        base_row = np.asarray(base, dtype=np.float64)
+        ref_row = placement.ref_row
+        # running lanes always have base > 0 (parked lanes are the only
+        # zero entries); guard the precomputed running view against the
+        # division anyway — those lanes are masked out of every use
+        eff_run = np.where(base_row > 0.0, base_row, ref_row)
+        rate_run, factor_run = kernel.roofline_rows(
+            eff_run,
+            ref_row,
+            placement.mem_row,
+            placement.ipc_row,
+            placement.stall_row,
+        )
+        self.rows: dict[str, "np.ndarray"] = {
+            "rate_run": rate_run,
+            "factor_run": factor_run,
+            "volt_run": kernel.voltage_rows(
+                eff_run, placement.grid_f, placement.grid_v
+            ),
+            "fghz_run": base_row / 1000.0,
+            "aperf_run": (base_row * 1e6) * dt,
         }
 
 
 class ChipArrayState:
-    """One chip's per-batch gather: cached static rows + live masks.
+    """One chip's per-batch gather: cached row sets + live masks.
 
     Built at the start of every batch; the constructor performs the same
     lazy P-state refresh the scalar tick would (so a pending dirty flag
     resolves identically, including raising on invalid simultaneous
-    P-state requests).  Static rows are keyed on the chip's view
+    P-state requests).  The frequency rows are keyed on the chip's view
     *generation*, not on who cleared the dirty flag: a refresh run by a
     scalar tick in between batches (which consumes ``_dirty``) must
-    still invalidate rows gathered from the older view.
+    still invalidate rows gathered from the older view.  The placement
+    rows are keyed on the chip's placement generation, which only
+    ``assign_load`` and ``park`` bump.
     """
 
     def __init__(self, chip: "Chip"):
         if chip._dirty or not chip.dirty_caching:
             chip._refresh_pstate_view()
-        static = chip.__dict__.get("_soa_static")
-        if static is None or static.view_generation != chip._view_generation:
-            static = _ChipStatic(chip)
-            chip._soa_static = static
+        placement = chip.__dict__.get("_soa_placement")
+        if (
+            placement is None
+            or placement.generation != chip._placement_generation
+        ):
+            placement = _PlacementRows(chip)
+            chip._soa_placement = placement
+        # a new placement always comes with a new view: assign_load and
+        # park mark the chip dirty, and the refresh above bumps it
+        freq = chip.__dict__.get("_soa_frequency")
+        if freq is None or freq.view_generation != chip._view_generation:
+            freq = _FrequencyRows(chip, placement)
+            chip._soa_frequency = freq
         self.chip = chip
-        self.static = static
+        self.placement = placement
+        self.freq = freq
         self.dt = chip.tick_s
         self.t0 = chip.time_s
 
-        loads = static.loads
+        loads = placement.loads
         running: list[bool] = []
         retired0: list[float] = []
         elapsed0: list[float] = []
@@ -339,27 +378,56 @@ def _advance_group(chips: list["Chip"], n_ticks: int) -> None:
         remaining -= committed
 
 
-#: last stacked static-row set, keyed by the group's static serials, so
-#: lockstep cluster batches don't re-concatenate unchanged rows.
+#: last stacked placement-row set, keyed by the group's placement
+#: serials, so lockstep cluster batches don't re-concatenate rows that
+#: only a load assignment or a parking decision can change.
 _GROUP_KEY: tuple[int, ...] | None = None
 _GROUP_ROWS: dict[str, "np.ndarray"] | None = None
 
 
 def _group_rows(states: list[ChipArrayState]) -> dict[str, "np.ndarray"]:
+    """Every gather row of the group, stacked along the core axis.
+
+    Frequency rows change whenever a daemon re-programs a P-state, so
+    they are stacked afresh each batch; placement rows come from the
+    memo above.
+    """
     global _GROUP_KEY, _GROUP_ROWS
     if len(states) == 1:
-        return states[0].static.rows
-    key = tuple(st.static.serial for st in states)
+        return {**states[0].placement.rows, **states[0].freq.rows}
+    key = tuple(st.placement.serial for st in states)
     if key != _GROUP_KEY or _GROUP_ROWS is None:
-        statics = [st.static for st in states]
+        placements = [st.placement for st in states]
         # repro-lint: disable=shared-state-race — per-process memo keyed by static serials; each worker rebuilds identical rows from its own chips
         _GROUP_ROWS = {
-            name: np.concatenate([s.rows[name] for s in statics])
-            for name in statics[0].rows
+            name: np.concatenate([p.rows[name] for p in placements])
+            for name in placements[0].rows
         }
         # repro-lint: disable=shared-state-race — cache key for the row memo above; same per-process recomputation argument
         _GROUP_KEY = key
-    return _GROUP_ROWS
+    freqs = [st.freq for st in states]
+    rows = dict(_GROUP_ROWS)
+    for name in freqs[0].rows:
+        rows[name] = np.concatenate([f.rows[name] for f in freqs])
+    return rows
+
+
+def _fold_rows(
+    seed_row: "np.ndarray", increments: "np.ndarray"
+) -> "np.ndarray":
+    """Each column's value after chaining ``x += inc`` down its rows.
+
+    One in-place add per row is the same sequence of float additions as
+    ``kernel.seeded_accumulate(seed_row, increments)[-1]``, so the
+    result is bit-identical, but it reads the matrix row by row instead
+    of writing a ``(T + 1, C)`` running-sum matrix along the strided
+    axis.  (``np.add.reduce``/``np.sum`` would be pairwise, not
+    chained.)
+    """
+    acc = np.array(seed_row, dtype=np.float64)
+    for row in increments:
+        np.add(acc, row, out=acc)
+    return acc
 
 
 def _stack_dyn(arrays: list["np.ndarray"]) -> "np.ndarray":
@@ -436,8 +504,8 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
     total = 0
     slices: list[slice] = []
     for state in states:
-        slices.append(slice(total, total + state.static.n))
-        total += state.static.n
+        slices.append(slice(total, total + state.placement.n))
+        total += state.placement.n
     rows = _group_rows(states)
 
     running = _stack_dyn([st.running_arr for st in states])
@@ -449,7 +517,7 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
     )
     rate0 = np.where(running, rows["rate_run"], rows["rate_idle"])
     factor = np.where(running, rows["factor_run"], rows["factor_idle"])
-    any_budget = any(st.static.has_budget for st in states)
+    any_budget = any(st.placement.has_budget for st in states)
 
     # event split, part 1: without instruction budgets the only split
     # trigger is a `done` flip at tick 0 (fresh assignment, external
@@ -513,7 +581,10 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
     )
     pkg_lists: list[list[float]] = []
     for state, cols in zip(states, slices):
-        pkg = kernel.sequential_row_sum(power[:, cols]) + state.static.uncore
+        pkg = (
+            kernel.sequential_row_sum(power[:, cols])
+            + state.placement.uncore
+        )
         pkg_lists.append(pkg.tolist())
 
     # RAPL: replay the EWMA/cap recurrence; a tick is only valid while
@@ -529,10 +600,10 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
         if limiter is None:
             continue
         observed, final = _replay_rapl(
-            limiter, pkg_list, dt, state.static.base_max, length
+            limiter, pkg_list, dt, state.freq.base_max, length
         )
         replays.append(
-            (limiter, pkg_list, state.static.base_max, observed, final)
+            (limiter, pkg_list, state.freq.base_max, observed, final)
         )
         if observed < commit:
             commit = observed
@@ -583,10 +654,10 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
             wake & (inst[0] > 0.0), inst[0] * rows["wake_row"], inst[0]
         )
 
-    # seeded running sums, fused: one strictly-sequential accumulate
-    # over 13 side-by-side column blocks (each column is an independent
+    # seeded running sums, fused: one strictly-sequential row fold over
+    # 13 side-by-side column blocks (each column is an independent
     # chained `x += inc`, so fusing preserves bit-exactness) instead of
-    # 13 separate numpy calls
+    # 13 separate folds
     dt_running = np.where(running, dt, 0.0)
     energy_inc = power[:commit] * dt
     seeds: list[float] = []
@@ -630,9 +701,7 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
     big[:, 10 * total : 11 * total] = rows["c6_inc"]
     big[:, 11 * total : 12 * total] = dt_running          # app elapsed_s
     big[:, 12 * total : 13 * total] = cand[:commit]       # app retired
-    finals = kernel.seeded_accumulate(
-        np.asarray(seeds, dtype=np.float64), big
-    )[commit].tolist()
+    finals = _fold_rows(np.asarray(seeds, dtype=np.float64), big).tolist()
     i_f = finals[0:total]
     ti_f = finals[total : 2 * total]
     e_f = finals[2 * total : 3 * total]
@@ -675,10 +744,9 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
     factor_list = factor.tolist()
     for idx, (state, cols) in enumerate(zip(states, slices)):
         chip = state.chip
-        static = state.static
-        base_list = static.base_list
-        loads = static.loads
-        parked = static.parked
+        base_list = state.freq.base_list
+        loads = state.placement.loads
+        parked = state.placement.parked
         is_running = state.running
         aperf = chip._aperf_cycles
         mperf = chip._mperf_cycles

@@ -18,6 +18,7 @@ easy to get wrong (kHz sysfs values, micro-joule counters with wraparound).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
 MHZ_PER_GHZ = 1000.0
@@ -109,20 +110,35 @@ def quantize_down(value: float, grid: Sequence[float]) -> float:
     """
     if not grid:
         raise ValueError("empty frequency grid")
-    chosen = grid[0]
-    for point in grid:
-        if point <= value + 1e-9:
-            chosen = point
-        else:
-            break
-    return chosen
+    threshold = value + 1e-9
+    # the negated test also sends NaN to the lowest point
+    if not threshold >= grid[0]:
+        return grid[0]
+    return grid[bisect_right(grid, threshold) - 1]
 
 
 def quantize_nearest(value: float, grid: Sequence[float]) -> float:
-    """Snap ``value`` to the nearest grid point (ties toward the lower)."""
+    """Snap ``value`` to the nearest grid point (ties toward the lower).
+
+    ``grid`` must be sorted ascending.  Distances are the float
+    ``abs(point - value)``, so far outside the grid several points can
+    round to the same distance; the lowest of them wins, as it does at
+    an exact midpoint.
+    """
     if not grid:
         raise ValueError("empty frequency grid")
-    return min(grid, key=lambda point: (abs(point - value), point))
+    pos = bisect_left(grid, value)
+    if pos == 0:
+        return grid[0]
+    below = pos - 1
+    gap = abs(grid[below] - value)
+    if pos < len(grid) and abs(grid[pos] - value) < gap:
+        return grid[pos]
+    # distances only grow moving down the grid, so a tie is a run
+    # ending at ``below``
+    while below and abs(grid[below - 1] - value) <= gap:
+        below -= 1
+    return grid[below]
 
 
 def weighted_mean(values: Iterable[float], weights: Iterable[float]) -> float:

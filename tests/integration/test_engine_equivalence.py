@@ -120,3 +120,68 @@ class TestCluster:
         ) == cluster_trace_bytes(
             "array", transport="lossy-links", crash_faults="arbiter-crash"
         )
+
+
+def fleet_width_bytes(engine: str) -> bytes:
+    """Grants, reports and per-core retired instructions of a 16-node
+    busy fleet, serialized exactly (``float.hex`` via ``repr``)."""
+    import random
+
+    from repro.cluster.runtime import ClusterSim
+    from repro.experiments.fleet_exp import fleet_config
+    from repro.fleet import DiurnalSchedule
+
+    schedule = DiurnalSchedule(
+        period_epochs=6,
+        base_active_fraction=0.85,
+        peak_active_fraction=0.95,
+        row_phase_epochs=3,
+    )
+    config = fleet_config(
+        2, 2, 4, seed=5, schedule=schedule, epoch_ticks=1, engine=engine
+    )
+    # distinct shares per node and app, so no two chips step alike
+    rng = random.Random(5)
+    config = dataclasses.replace(
+        config,
+        nodes=tuple(
+            dataclasses.replace(
+                spec,
+                shares=rng.uniform(0.5, 2.0),
+                apps=tuple(
+                    dataclasses.replace(app, shares=rng.uniform(20.0, 80.0))
+                    for app in spec.apps
+                ),
+            )
+            for spec in config.nodes
+        ),
+    )
+    sim = ClusterSim(config, jobs=1)
+    stepper = sim._ensure_stepper()
+    run = sim.run(8 * config.epoch_s)
+    parts = []
+    for grant, reports in zip(run.grants, run.reports):
+        parts.append(repr((grant.epoch, sorted(grant.caps_w.items()))))
+        parts.append(repr(sorted(
+            (name, dataclasses.astuple(report))
+            for name, report in reports.items()
+        )))
+    stepped = 0
+    for node in stepper.nodes:
+        if node.stack is not None:
+            stepped += 1
+            parts.append(repr((
+                node.spec.name,
+                [c.total_instructions.hex() for c in node.stack.chip.cores],
+            )))
+    assert stepped >= 16
+    return "\n".join(parts).encode()
+
+
+class TestFleetWidth:
+    def test_busy_fleet_engines_match(self):
+        """A 16-node busy fleet gangs every active node into one wide
+        ``(ticks x ~150 cores)`` batch per epoch — far wider than the
+        3-node cluster runs above — and must still match the scalar
+        engine byte for byte."""
+        assert fleet_width_bytes("scalar") == fleet_width_bytes("array")

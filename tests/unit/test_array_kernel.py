@@ -117,6 +117,24 @@ class TestKernels:
                 acc += row[col]
                 assert out[k + 1, col].hex() == acc.hex()
 
+    def test_row_fold_matches_seeded_accumulate(self):
+        """The commit's in-place row fold is the same chained addition
+        as the last row of the fused accumulate, bit for bit, on a
+        fleet-wide matrix where a 1e12 seed swallows most of each tiny
+        increment (so any reassociation would show)."""
+        rng = np.random.default_rng(12)
+        cols = 3_200
+        seeds = rng.uniform(-1e12, 1e12, cols)
+        seeds[:8] = [0.0, -0.0, 1e12, -1e12, 5e-324, 1.0, 2.0**53, 3.7]
+        incs = rng.uniform(0.0, 1e-3, (201, cols))
+        incs[:, ::7] *= -1.0
+        incs[::5, ::3] = 1e-17
+        before = seeds.tobytes()
+        expected = kernel.seeded_accumulate(seeds, incs)[-1]
+        folded = soa._fold_rows(seeds, incs)
+        assert folded.tobytes() == expected.tobytes()
+        assert seeds.tobytes() == before  # the seed row is not folded into
+
     def test_sequential_row_sum_matches_python_sum(self):
         rows = [[3.1, 0.2, 7.9, 1e-8], [0.0, 5.5, 2.2, 9.1]]
         out = kernel.sequential_row_sum(np.asarray(rows))
@@ -308,6 +326,38 @@ class TestArrayAdvance:
         soa.advance_chip(chips[1], 8)
         assert chip_fingerprint(chips[0]) == chip_fingerprint(chips[1])
 
+    def test_pstate_change_rebuilds_only_frequency_rows(self):
+        """Re-programming a P-state keeps the placement rows; assigning
+        a load or parking a core rebuilds both sets — and every step
+        stays bit-identical to the scalar loop."""
+        chips = [batch_chip(), batch_chip()]
+        ref = chips[0].platform.reference_frequency_mhz
+
+        def step(n=16):
+            chips[0].advance_ticks(n)
+            soa.advance_chip(chips[1], n)
+            assert chip_fingerprint(chips[0]) == chip_fingerprint(chips[1])
+            return chips[1]._soa_placement, chips[1]._soa_frequency
+
+        placement, freq = step()
+        for chip in chips:
+            chip.set_requested_frequency(1, 1200.0)
+        placement2, freq2 = step()
+        assert placement2 is placement and freq2 is not freq
+        for chip in chips:
+            chip.assign_load(
+                5,
+                BatchCoreLoad(RunningApp(spec_app("omnetpp"), instance=5), ref),
+            )
+        placement3, freq3 = step()
+        assert placement3 is not placement2 and freq3 is not freq2
+        for chip in chips:
+            chip.park(0)
+        placement4, _ = step()
+        assert placement4 is not placement3
+        placement5, _ = step()
+        assert placement5 is placement4
+
     def test_stacked_chips_match_individual_stepping(self):
         stacked = [batch_chip(), batch_chip("ryzen"), batch_chip()]
         solo = [batch_chip(), batch_chip("ryzen"), batch_chip()]
@@ -316,6 +366,46 @@ class TestArrayAdvance:
             chip.advance_ticks(400)
         for a, b in zip(solo, stacked):
             assert chip_fingerprint(a) == chip_fingerprint(b)
+
+
+class TestLockstepFlush:
+    @pytest.mark.parametrize("n_ticks", [200, 250])
+    def test_lockstep_publishes_like_sequential_runs(self, n_ticks):
+        """The closing flush is skipped only when a callback latched the
+        counters after the last tick (200: due on it; 250: not), so the
+        MSR files and every callback's readings match ``run_ticks``."""
+        from repro.hw import msr as msrdef
+        from repro.sim.engine import run_lockstep
+
+        def engines(readings):
+            out = []
+            for name in ("skylake", "ryzen", "skylake"):
+                engine = SimEngine(batch_chip(name), engine="array")
+                msr = engine.chip.msr
+
+                def read(t, msr=msr, log=readings.setdefault(len(out), [])):
+                    log.append(
+                        (t.hex(), msr.read(0, msrdef.IA32_APERF),
+                         msr.read(2, msrdef.IA32_FIXED_CTR0))
+                    )
+
+                engine.every(0.5, read)
+                out.append(engine)
+            return out
+
+        solo_log: dict = {}
+        gang_log: dict = {}
+        solo = engines(solo_log)
+        gang = engines(gang_log)
+        for engine in solo:
+            engine.run_ticks(n_ticks)
+        run_lockstep(gang, n_ticks)
+        assert solo_log == gang_log
+        for a, b in zip(solo, gang):
+            assert repr(list(a.chip.msr._values.items())) == repr(
+                list(b.chip.msr._values.items())
+            )
+            assert chip_fingerprint(a.chip) == chip_fingerprint(b.chip)
 
 
 class TestEngineSelector:

@@ -135,3 +135,106 @@ class TestEnergyDelta:
 
     def test_u64_mask_constant(self):
         assert U64_MASK == (1 << 64) - 1
+
+
+class TestSlots:
+    def test_slots_alias_package_scope(self, msr):
+        assert msr.slots(0x10) == [(0, 0x10), (1, 0x10), (2, 0x10), (3, 0x10)]
+        assert msr.slots(0x611) == [(0, 0x611)] * 4
+
+    def test_slots_reject_unregistered_address(self, msr):
+        with pytest.raises(MSRAddressError):
+            msr.slots(0xDEAD)
+
+    def test_poke_slots_masks_like_poke(self, msr):
+        msr.poke_slots(msr.slots(0x10), [(1 << 70) | 5, 7, 0, U64_MASK])
+        assert [msr.read(cpu, 0x10) for cpu in range(4)] == [
+            5, 7, 0, U64_MASK
+        ]
+
+
+def _poke_flush(chip):
+    """The per-register publish ``Chip.flush_counters`` replaced: one
+    validated ``poke`` per counter, kept as the oracle."""
+    from repro.hw import msr as msrdef
+
+    intel = chip.platform.vendor == "intel"
+    pkg = msrdef.MSR_PKG_ENERGY_STATUS if intel else msrdef.MSR_AMD_PKG_ENERGY
+    chip.msr.poke(0, pkg, chip.energy.package_energy_uj)
+    for core in chip.cores:
+        cpu = core.core_id
+        chip.msr.poke(cpu, msrdef.IA32_APERF, int(chip._aperf_cycles[cpu]))
+        chip.msr.poke(cpu, msrdef.IA32_MPERF, int(chip._mperf_cycles[cpu]))
+        chip.msr.poke(
+            cpu, msrdef.IA32_FIXED_CTR0, int(chip._instr_total[cpu])
+        )
+        if intel:
+            chip.msr.poke(
+                cpu,
+                msrdef.IA32_PERF_STATUS,
+                int(core.effective_mhz // 100.0) << 8,
+            )
+        else:
+            chip.msr.poke(
+                cpu,
+                msrdef.MSR_AMD_PSTATE_STATUS,
+                int(core.effective_mhz // 25.0),
+            )
+            chip.msr.poke(
+                cpu, msrdef.MSR_AMD_CORE_ENERGY, chip.energy.core_energy_uj(cpu)
+            )
+
+
+def _loaded_chip(platform_name):
+    from repro.hw.platform import get_platform
+    from repro.sim.chip import Chip
+    from repro.sim.core import BatchCoreLoad
+    from repro.workloads.app import RunningApp
+    from repro.workloads.spec import spec_app
+
+    platform = get_platform(platform_name)
+    chip = Chip(platform, tick_s=5e-3)
+    ref = platform.reference_frequency_mhz
+    for i, name in enumerate(["leela", "cactusBSSN", "omnetpp"]):
+        chip.assign_load(
+            i, BatchCoreLoad(RunningApp(spec_app(name), instance=i), ref)
+        )
+    chip.park(platform.n_cores - 1)
+    return chip
+
+
+class TestCounterPublish:
+    @pytest.mark.parametrize("platform_name", ["skylake", "ryzen"])
+    def test_flush_matches_per_register_pokes(self, platform_name):
+        chips = [_loaded_chip(platform_name), _loaded_chip(platform_name)]
+        for chip in chips:
+            chip.advance_ticks(157)
+            # a counter past 64 bits exercises the publish mask
+            chip._aperf_cycles[1] = float(1 << 70) + 4096.0
+        chips[0].flush_counters()
+        _poke_flush(chips[1])
+        published, oracle = (list(c.msr._values.items()) for c in chips)
+        assert repr(published) == repr(oracle)
+        assert all(type(value) is int for _, value in published)
+
+    def test_unregistered_counter_raises_when_the_chip_is_built(self):
+        from repro.hw import msr as msrdef
+        from repro.hw.platform import get_platform
+        from repro.sim.chip import Chip
+
+        class MissingInstructionCounter(Chip):
+            def _register_msrs(self):
+                real = self.msr.register
+
+                def register(msr_def):
+                    if msr_def.address != msrdef.IA32_FIXED_CTR0:
+                        real(msr_def)
+
+                self.msr.register = register
+                try:
+                    super()._register_msrs()
+                finally:
+                    del self.msr.register
+
+        with pytest.raises(MSRAddressError):
+            MissingInstructionCounter(get_platform("skylake"))
