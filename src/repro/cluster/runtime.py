@@ -408,14 +408,19 @@ class ClusterSim:
         partitioned node's.  Returns the lease-effective caps the
         nodes will enforce this epoch and the set of names whose lease
         has expired into SAFE.
+
+        ``members`` is a sorted tuple: membership is tested against a
+        set built once here, never against the tuple, which would make
+        every epoch quadratic in fleet size.
         """
         members = self.arbiter.members
+        live = set(members)
         for name in list(self._leases):
-            if name not in members:
+            if name not in live:
                 del self._leases[name]
         caps: dict[str, float] = {}
         safe: set[str] = set()
-        for name in sorted(members):
+        for name in members:
             lease = self._leases[name]
             if name in self._down:
                 lease.observe([], epoch)

@@ -249,6 +249,10 @@ class UnreliableTransport:
         if seed is not None:
             scenario = scenario.with_seed(seed)
         self.scenario = scenario
+        #: the scenario is frozen, so its derived flags are fixed for
+        #: the run: computed once here, not re-derived per envelope.
+        self._quiet = scenario.quiet
+        self._partitions = bool(scenario.partitions)
         self._rng = random.Random(scenario.seed ^ _SEED_SALT)
         self.stats = TransportStats()
         #: dst -> [(delivery_epoch, order, envelope)]
@@ -271,10 +275,10 @@ class UnreliableTransport:
         """Submit one envelope at the current epoch."""
         s = self.scenario
         self.stats.count("sent")
-        if s.partitioned(self._node_of(env), now_epoch):
+        if self._partitions and s.partitioned(self._node_of(env), now_epoch):
             self.stats.count("dropped")
             return
-        if s.quiet:
+        if self._quiet:
             self._enqueue(env, now_epoch)
             return
         roll = self._rng.random()
@@ -297,23 +301,29 @@ class UnreliableTransport:
 
     def deliver(self, dst: str, now_epoch: int) -> list[Envelope]:
         """Everything due to ``dst`` by ``now_epoch``, delivery-ordered."""
-        queue = self._queues.get(dst, [])
+        queue = self._queues.get(dst)
+        if not queue:
+            return []
         due = [item for item in queue if item[0] <= now_epoch]
         if not due:
             return []
-        self._queues[dst] = [item for item in queue if item[0] > now_epoch]
-        due.sort(key=lambda item: (item[0], item[1]))
+        if len(due) == len(queue):
+            self._queues[dst] = []
+        else:
+            self._queues[dst] = [item for item in queue if item[0] > now_epoch]
+        if len(due) > 1:
+            due.sort(key=lambda item: (item[0], item[1]))
         batch = [env for _, _, env in due]
-        # a delayed packet arriving into a severed link dies at the door
-        kept: list[Envelope] = []
-        for env in batch:
-            if self.scenario.partitioned(
-                self._node_of(env), now_epoch
-            ):
-                self.stats.count("dropped")
-            else:
-                kept.append(env)
-        if len(kept) > 1 and not self.scenario.quiet:
+        kept: list[Envelope] = batch
+        if self._partitions:
+            # a delayed packet arriving into a severed link dies at the door
+            kept = []
+            for env in batch:
+                if self.scenario.partitioned(self._node_of(env), now_epoch):
+                    self.stats.count("dropped")
+                else:
+                    kept.append(env)
+        if len(kept) > 1 and not self._quiet:
             if self._rng.random() < self.scenario.reorder_rate:
                 self._rng.shuffle(kept)
         self.stats.count("delivered", len(kept))

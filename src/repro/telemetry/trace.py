@@ -76,7 +76,19 @@ class Trace:
         self._series: dict[str, TraceSeries] = {}
 
     def record(self, name: str, time_s: float, value: float) -> None:
-        self._series.setdefault(name, TraceSeries(name)).append(time_s, value)
+        self.handle(name).append(time_s, value)
+
+    def handle(self, name: str) -> TraceSeries:
+        """The live series ``name``, created on first use.
+
+        Hot recorders resolve a handle once and append to it directly;
+        call this only right before the first append, or :meth:`names`
+        will list a series with no samples.
+        """
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = TraceSeries(name)
+        return series
 
     def series(self, name: str) -> TraceSeries:
         try:
