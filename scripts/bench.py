@@ -27,20 +27,14 @@ Measures the numbers that bound every workflow in this repo:
   plus the hierarchical arbitration overhead.
 * **fleet_arbitration_ms** — mean wall milliseconds per
   ``FleetArbiter.rebalance`` over a synthetic steady-state
-  1,024-node fleet where only ~2 % of nodes move demand per epoch,
-  alongside ``fleet_arbitration_full_ms`` (the same epochs with the
-  dirty-subtree cache disabled) and ``fleet_arbitration_speedup`` —
-  the incremental win the fleet design doc promises, measured.
+  1,024-node fleet where every node reports every epoch and ~3 % of
+  nodes move demand: arbitration alone, every rack water-filled.
 * **trust_overhead_pct** — percent wall-clock overhead the telemetry
   validation layer (demand validator screen + trust bookkeeping) adds
   to a full 1,024-node arbitration epoch, measured by stepping the
   identical steady report stream through a real arbiter and one with
   ``validator = None`` (the break-glass mode that takes reports at
-  face value) in lockstep.  Both sides run the full (non-incremental)
-  water-fill: the incremental fast path skips most claim work by
-  design, so dividing the validator's fixed per-report cost by its
-  much smaller denominator would gate the dirty-subtree cache's win,
-  not validation's cost.  ``--check`` fails when this exceeds
+  face value) in lockstep.  ``--check`` fails when this exceeds
   :data:`TRUST_OVERHEAD_LIMIT_PCT`.
 * **report_quick_s** — wall time of ``generate_report(quick=True)``
   with a cold cache and one worker: the end-to-end cost of the thing a
@@ -100,7 +94,7 @@ FLEET_ARB_EPOCHS = 8
 
 #: racks whose nodes move demand per steady-state epoch (~3 % of the
 #: fleet, localized the way real load shifts are: a spike rolls
-#: through one rack while the rest of the fleet jitters sub-quantum).
+#: through one rack while the rest of the fleet holds steady).
 FLEET_ARB_CHURN_RACKS = 1
 
 #: --check fails when telemetry validation costs more than this
@@ -225,13 +219,7 @@ def measure_fleet_ticks_per_sec(engine: str = "array") -> float:
 
 
 def _fleet_arb_reports(config, epoch: int, movers: range):
-    """Steady grid-stable demand with a rolling rack of movers.
-
-    Bases are multiples of 0.4 W, so after the arbiter's 1.25x demand
-    slack they land exactly on the 0.5 W claim quantum and a clean rack
-    re-quantizes to the identical fill; movers step by a whole number
-    of grid cells, dirtying only their own rack.
-    """
+    """Steady demand with a rolling rack of movers."""
     from repro.cluster.node import NodeEpochReport
 
     reports = {}
@@ -254,15 +242,12 @@ def _fleet_arb_reports(config, epoch: int, movers: range):
     return reports
 
 
-def measure_fleet_arbitration_ms() -> dict:
-    """Mean rebalance wall-ms at 1,024 nodes: incremental vs full.
+def measure_fleet_arbitration_ms() -> float:
+    """Mean rebalance wall-ms at 1,024 nodes.
 
-    The same steady-state epoch stream (one rack's worth of demand
-    movement rolling through the fleet per epoch, everything else
-    jittering below the claim quantum) drives two FleetArbiters — one
-    with the dirty-subtree cache, one with ``incremental = False``
-    re-water-filling every rack — so the speedup is the incremental
-    refill's win in isolation.
+    A steady-state epoch stream (one rack's worth of demand movement
+    rolling through the fleet per epoch) drives one FleetArbiter; the
+    first epochs are warm-up.
     """
     from repro.experiments.fleet_exp import fleet_config
     from repro.fleet.arbiter import FleetArbiter
@@ -274,29 +259,20 @@ def measure_fleet_arbitration_ms() -> dict:
         * FLEET_ARB_GRID[2] * 24.0,  # contended: below mean demand-hi
     )
     names = [spec.name for spec in config.nodes]
-    n = len(names)
-    timings = {}
-    for label, incremental in (("incremental", True), ("full", False)):
-        arbiter = FleetArbiter(config)
-        arbiter.incremental = incremental
-        arbiter.admit(names)
-        elapsed = 0.0
-        rack_size = FLEET_ARB_GRID[2]
-        n_racks = n // rack_size
-        for epoch in range(2 + FLEET_ARB_EPOCHS):
-            first = (epoch % n_racks) * rack_size
-            movers = range(first, first + FLEET_ARB_CHURN_RACKS * rack_size)
-            reports = _fleet_arb_reports(config, epoch, movers)
-            start = time.perf_counter()
-            arbiter.rebalance(epoch, reports)
-            if epoch >= 2:  # first epochs build the caches: warmup
-                elapsed += time.perf_counter() - start
-        timings[label] = 1e3 * elapsed / FLEET_ARB_EPOCHS
-    timings["speedup"] = (
-        timings["full"] / timings["incremental"]
-        if timings["incremental"] > 0 else float("inf")
-    )
-    return timings
+    arbiter = FleetArbiter(config)
+    arbiter.admit(names)
+    elapsed = 0.0
+    rack_size = FLEET_ARB_GRID[2]
+    n_racks = len(names) // rack_size
+    for epoch in range(2 + FLEET_ARB_EPOCHS):
+        first = (epoch % n_racks) * rack_size
+        movers = range(first, first + FLEET_ARB_CHURN_RACKS * rack_size)
+        reports = _fleet_arb_reports(config, epoch, movers)
+        start = time.perf_counter()
+        arbiter.rebalance(epoch, reports)
+        if epoch >= 2:  # first epochs seed validator anchors: warm-up
+            elapsed += time.perf_counter() - start
+    return 1e3 * elapsed / FLEET_ARB_EPOCHS
 
 
 def measure_trust_overhead_pct() -> float:
@@ -307,11 +283,7 @@ def measure_trust_overhead_pct() -> float:
     with ``validator = None`` — the arbiter's break-glass mode that
     takes reports at face value and skips all trust bookkeeping — so
     the difference is exactly what the telemetry-robustness layer
-    costs per epoch.  Both sides water-fill every rack
-    (``incremental = False``): validation cost is fixed per report,
-    and the full pass is the work arbitration actually performs for
-    1,024 fresh demand moves, while the incremental path's
-    denominator measures the dirty-subtree cache instead.
+    costs per epoch.
 
     Every epoch is timed on both arbiters back to back (order
     alternating per epoch), yielding one per-epoch delta under the
@@ -343,7 +315,6 @@ def measure_trust_overhead_pct() -> float:
 
     def make(validated: bool) -> FleetArbiter:
         arbiter = FleetArbiter(config)
-        arbiter.incremental = False
         if not validated:
             arbiter.validator = None
         arbiter.admit(names)
@@ -487,7 +458,6 @@ def main(argv: list[str] | None = None) -> int:
 
     array_rate = measure_ticks_per_sec(engine="array")
     scalar_rate = measure_ticks_per_sec(engine="scalar")
-    fleet_arb = measure_fleet_arbitration_ms()
     result = {
         "ticks_per_sec": round(array_rate, 1),
         "scalar_ticks_per_sec": round(scalar_rate, 1),
@@ -498,9 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         "fleet_ticks_per_sec": round(
             measure_fleet_ticks_per_sec(engine="array"), 1
         ),
-        "fleet_arbitration_ms": round(fleet_arb["incremental"], 3),
-        "fleet_arbitration_full_ms": round(fleet_arb["full"], 3),
-        "fleet_arbitration_speedup": round(fleet_arb["speedup"], 2),
+        "fleet_arbitration_ms": round(measure_fleet_arbitration_ms(), 3),
         "trust_overhead_pct": round(measure_trust_overhead_pct(), 2),
         "report_quick_s": None,
         "engines": METRIC_ENGINES,
@@ -514,9 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"fleet ticks/sec: {result['fleet_ticks_per_sec']:,.0f} "
           f"(array, 128 nodes, idle-skipped ticks included)")
     print(f"fleet arbitration: {result['fleet_arbitration_ms']:.2f} ms "
-          f"incremental vs {result['fleet_arbitration_full_ms']:.2f} ms "
-          f"full at 1,024 nodes "
-          f"({result['fleet_arbitration_speedup']:.1f}x)")
+          f"per epoch at 1,024 nodes")
     print(f"trust overhead: {result['trust_overhead_pct']:.2f}% of a "
           f"full 1,024-node arbitration epoch "
           f"(limit {TRUST_OVERHEAD_LIMIT_PCT:.1f}%)")

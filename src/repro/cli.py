@@ -395,13 +395,6 @@ def _cmd_fleet(args) -> int:
         f"{result.shed_grants} grants shed to floor; "
         f"{result.idle_node_epochs} idle node-epochs skipped"
     )
-    refills = result.fleet_refilled + result.fleet_reused
-    reuse_pct = 100.0 * result.fleet_reused / refills if refills else 0.0
-    print(
-        f"incremental arbitration: {result.fleet_refilled} rack "
-        f"water-fills recomputed, {result.fleet_reused} reused from "
-        f"clean subtrees ({reuse_pct:.0f}% reuse)"
-    )
     if transport is not None:
         print(
             f"rack partition {args.partition_rack} epochs "

@@ -1,37 +1,38 @@
 """Cluster-level power arbitration: min-funding one level up.
 
 The paper's daemon spreads one socket's watts across applications with
-min-funding revocation; :class:`ClusterArbiter` applies the same
-primitive one level up, spreading a facility budget across node caps
-through a two-level shares tree (groups, then nodes — see
-:mod:`repro.cluster.config`).  Each node's ``PowerDaemon`` is a leaf:
-the cap the arbiter grants becomes the ``limit_w`` that daemon enforces
-locally, so the hierarchy composes without any node-level changes.
+min-funding revocation; the cluster arbiter applies the same primitive
+one level up, spreading a facility budget across node caps.  Each
+node's ``PowerDaemon`` is a leaf: the cap the arbiter grants becomes
+the ``limit_w`` that daemon enforces locally, so the hierarchy composes
+without any node-level changes.
 
-Per epoch the arbiter turns each node's :class:`~repro.cluster.node.
-NodeEpochReport` into a :class:`~repro.core.minfund.Claim`:
+:class:`ClusterArbiter` owns everything that does not depend on the
+shape of the shares tree: membership, the lease-mirroring reservation
+ladder, demand history and aging, report validation and trust, the
+brownout ladder, the exact trim, and the cap-sum invariant.  The split
+itself — turning each live node's :class:`~repro.cluster.node.
+NodeEpochReport` into a :class:`~repro.core.minfund.Claim` and
+water-filling the budget down the tree — is the ``_arbitrate`` step of
+:class:`repro.fleet.arbiter.FleetArbiter`, the one concrete arbiter
+(flat ``groups`` configs arbitrate a derived two-level tree).  A claim
+is:
 
-* ``lo`` is the node's configured cap floor (nodes are floored, never
+* ``lo``: the node's configured cap floor (nodes are floored, never
   starved — the paper's no-starvation rule, one level up);
-* ``hi`` is the node's *demand ceiling*: measured power, pulled toward
+* ``hi``: the node's *demand ceiling*: measured power, pulled toward
   the node's cap maximum by its throttle pressure (a throttled node
   would convert more watts into work), scaled down by the fraction of
   its cores that are quarantined (capacity it cannot spend), and padded
   with slack so a node capped low can still climb;
 * ``shares`` come from the config.
 
-:func:`~repro.core.minfund.refill_pool` then water-fills the budget:
-group shares split the facility budget into group pools, node shares
-split each pool into caps.  Saturated nodes (at ``hi``) release budget
-to the others and the fill re-runs — exactly the revocation cascade the
-paper runs over apps.
-
 **Invariant** (checked, and exactly enforced by a deterministic trim of
-the bisection residue): the caps granted to live nodes always sum to at
-most the facility budget.  Crashed nodes keep their cap until the epoch
-boundary where their report goes missing — the realistic detection lag —
-but a dead node draws nothing, so the physical envelope holds through
-the lag too.
+the water-fill's float residue): the caps granted to live nodes always
+sum to at most the facility budget.  Crashed nodes keep their cap until
+the epoch boundary where their report goes missing — the realistic
+detection lag — but a dead node draws nothing, so the physical envelope
+holds through the lag too.
 
 With the unreliable transport (:mod:`repro.cluster.transport`), a
 missing report no longer implies death: it may be a dropped packet or a
@@ -55,17 +56,14 @@ partition.  The arbiter therefore mirrors the node-side lease ladder
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from repro.cluster.config import ClusterConfig, NodeSpec
+from repro.cluster.config import ClusterConfig
 from repro.cluster.node import NodeEpochReport
-from repro.cluster.trust import (
-    BrownoutController,
-    DemandValidator,
-    TrustBook,
-    brownout_claim_bounds,
-)
-from repro.core.minfund import Claim, refill_pool
+from repro.cluster.trust import BrownoutController, DemandValidator, TrustBook
+# unused here; the benchmark tracer (perfbench/tracing.py) wraps it
+from repro.core.minfund import refill_pool  # noqa: F401
 from repro.errors import ConfigError
 
 #: multiplicative slack on a node's demand ceiling: lets an unthrottled
@@ -76,9 +74,9 @@ DEMAND_SLACK = 1.25
 #: numeric tolerance on the cap-sum invariant before trimming.
 _SUM_TOLERANCE = 1e-9
 
-#: allowed drift between the incrementally-maintained cap sum and a
-#: full rescan (float addition is not associative, so the two
-#: accumulate in different orders; at fleet scale the gap is ~1e-9).
+#: allowed drift between the running cap sum and a full rescan (float
+#: addition is not associative, so the two accumulate in different
+#: orders; at fleet scale the gap is ~1e-9).
 _SUM_DRIFT_TOLERANCE = 1e-6
 
 
@@ -98,10 +96,9 @@ class Arbitration:
     reserved_w: dict[str, float] = field(default_factory=dict)
     #: members whose demand lost the oversubscription bet this round:
     #: they asked for more than their floor but the water-fill pinned
-    #: them at it (fleet arbitration; empty on the flat path).
+    #: them at it.
     shed: tuple[str, ...] = ()
-    #: fleet arbitration counters (racks refilled vs reused, dirty
-    #: nodes); empty on the flat path.
+    #: arbitration counters: ``racks``, the leaf domains water-filled.
     fleet_stats: dict[str, int] = field(default_factory=dict)
     #: members quarantined by trust decay this round: their demand
     #: ceilings were pinned at their floors (repeat misreporters).
@@ -120,8 +117,12 @@ class Arbitration:
         return sum(self.caps_w.values())
 
 
-class ClusterArbiter:
-    """Owns the facility budget and the node membership set."""
+class ClusterArbiter(ABC):
+    """Owns the facility budget and the node membership set.
+
+    Subclasses supply :meth:`_arbitrate`, the split of the bidding
+    budget over the live members.
+    """
 
     def __init__(self, config: ClusterConfig):
         self.config = config
@@ -132,9 +133,9 @@ class ClusterArbiter:
         self._members: set[str] = set()
         #: the caps of the last arbitration round.
         self._caps: dict[str, float] = {}
-        #: incrementally-maintained sum of ``_caps`` — kept in lock
-        #: step with every grant/retire so :meth:`check_invariant` is
-        #: O(1) instead of rescanning the fleet every epoch.
+        #: running sum of ``_caps`` — kept in lock step with every
+        #: grant/retire so :meth:`check_invariant` is O(1) instead of
+        #: rescanning the fleet every epoch.
         self._cap_sum = 0.0
         #: last usable demand report per node (held over when a tick
         #: storm produces an empty epoch).
@@ -416,6 +417,7 @@ class ClusterArbiter:
             trust_violations=violations,
         )
 
+    @abstractmethod
     def _arbitrate(
         self,
         epoch: int,
@@ -428,41 +430,11 @@ class ClusterArbiter:
 
         Fills ``caps`` in place (on top of the reservations already
         there), appends demand-blind members to ``degraded``, and
-        returns ``(pools, shed, stats, live_sum)`` — the per-group (or
-        per-domain) pools, the members shed to their floors under
-        contention, arbitration counters, and the float sum of the
-        caps placed (so the caller can maintain the cap-sum
-        incrementally).  This flat two-level implementation is the
-        PR-3 arbiter; :class:`repro.fleet.arbiter.FleetArbiter`
-        overrides it with the hierarchical dirty-subtree scheme.
+        returns ``(pools, shed, stats, live_sum)`` — the per-domain
+        pools, the members shed to their floors under contention,
+        arbitration counters, and the float sum of the caps placed (so
+        the caller can maintain the running cap sum).
         """
-        claims_by_group: dict[str, list[Claim]] = {}
-        top_shares = max(
-            (self.config.node(n).shares for n in live), default=0.0
-        )
-        for name in live:
-            spec = self.config.node(name)
-            report = self._last_report.get(name)
-            claim = self._claim(
-                spec, report, self._age(name, epoch), top_shares
-            )
-            if report is None and self._admitted_at[name] != epoch:
-                # demand-blind grant for an established member: a tick
-                # storm ate its first samples (satellite: no silent
-                # floor/blind caps — health roll-ups must see these)
-                degraded.append(name)
-            group = self.config.group_of(spec)
-            claims_by_group.setdefault(group, []).append(claim)
-
-        group_pools: dict[str, float] = {}
-        live_sum = 0.0
-        if claims_by_group:
-            group_pools = self._split_groups(claims_by_group, budget)
-            for group, claims in claims_by_group.items():
-                fill = refill_pool(group_pools[group], claims)
-                caps.update(fill)
-                live_sum += sum(fill[c.label] for c in claims)
-        return group_pools, (), {}, live_sum
 
     def _classify(
         self, epoch: int
@@ -527,79 +499,8 @@ class ClusterArbiter:
             return 0
         return epoch - fresh
 
-    def _claim(
-        self,
-        spec: NodeSpec,
-        report: NodeEpochReport | None,
-        age: int,
-        top_shares: float,
-    ) -> Claim:
-        """One live member's claim: trust-discounted demand ceiling,
-        bounds shed per the brownout level in effect."""
-        lo = spec.min_cap_w
-        hi_cap = spec.resolved_max_cap_w()
-        if report is None:
-            # no demand history: an unconstrained bid, bounded only by
-            # the node's configured cap range
-            hi = hi_cap
-        else:
-            wants = report.mean_power_w + report.throttle_pressure * max(
-                hi_cap - report.mean_power_w, 0.0
-            )
-            n_apps = len(spec.apps)
-            healthy = max(n_apps - report.quarantined_cores, 0) / n_apps
-            hi = min(wants * DEMAND_SLACK * healthy, hi_cap)
-            if age > 1:
-                # held-over demand ages toward the floor: the first
-                # stale epoch keeps the full holdover, then the ceiling
-                # decays linearly over the lease TTL so a stale report
-                # cannot pin budget forever
-                fade = max(0.0, 1.0 - (age - 1) / self.lease_ttl)
-                hi = lo + (hi - lo) * fade
-        hi = self.trust.discount_hi(spec.name, lo, hi)
-        lo, hi = brownout_claim_bounds(
-            self.brownout.level,
-            floor_w=lo,
-            raw_hi_w=hi,
-            shares=spec.shares,
-            top_shares=top_shares,
-        )
-        current = self._caps.get(spec.name, lo)
-        return Claim(
-            label=spec.name,
-            shares=spec.shares,
-            current=min(max(current, lo), hi),
-            lo=lo,
-            hi=hi,
-        )
-
-    def _split_groups(
-        self, claims_by_group: dict[str, list[Claim]], budget_w: float
-    ) -> dict[str, float]:
-        """Split the bidding budget across groups by group shares.
-
-        ``budget_w`` is the facility budget net of silent members'
-        reservations — reserved watts come off the top globally, not
-        out of the silent node's own group.  A group's claim aggregates
-        its members: floor = sum of member floors, ceiling = sum of
-        member demand ceilings.  With one group the split is the whole
-        bidding budget and the tree is flat.
-        """
-        shares = self.config.group_shares()
-        group_claims = [
-            Claim(
-                label=group,
-                shares=shares[group],
-                current=sum(c.current for c in claims),
-                lo=sum(c.lo for c in claims),
-                hi=sum(c.hi for c in claims),
-            )
-            for group, claims in sorted(claims_by_group.items())
-        ]
-        return refill_pool(budget_w, group_claims)
-
     def _trim(self, caps: dict[str, float], total: float) -> float:
-        """Shave the water-filling bisection residue so the cap sum is
+        """Shave the water-fill's float residue so the cap sum is
         *exactly* at or under budget, largest caps first (never below a
         node's floor).  Returns the post-trim total."""
         excess = total - self.budget_w
@@ -620,20 +521,12 @@ class ClusterArbiter:
                 "cap floors exceed the cluster budget; config validation "
                 "should have rejected this"
             )
-        self._caches_invalidated()
         return total - shaved
-
-    def _caches_invalidated(self) -> None:
-        """Hook: the trim mutated caps behind any incremental caches.
-
-        The flat arbiter keeps none; the fleet arbiter drops its
-        per-rack reuse caches so the next epoch re-fills from scratch.
-        """
 
     def check_invariant(self, *, full: bool = False) -> None:
         """Raise unless live caps sum to at most the budget.
 
-        The per-epoch check reads the incrementally-maintained sum —
+        The per-epoch check reads the maintained running sum —
         O(1), so a 1,000-node fleet pays nothing for the safety net.
         ``full=True`` additionally rescans the caps dict and verifies
         the maintained sum has not drifted from it (a debugging /

@@ -257,8 +257,7 @@ class ClusterNode:
         iterations of an empty machine cost one dataclass here.  It
         still reports every epoch (keeping its lease GRANTED and its
         liveness fresh) with a constant synthetic draw below its cap
-        floor, so its demand claim pins to the floor and never dirties
-        its rack in the arbiter's incremental scheme.  A crash window
+        floor, so its demand claim pins to the floor.  A crash window
         opening mid-epoch still kills it — death does not wait for
         traffic.
         """

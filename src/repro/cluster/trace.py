@@ -113,8 +113,8 @@ class ClusterTrace:
         the end of the epoch; ``restarts`` counts node reboots executed
         at this epoch's boundary and ``crash_recoveries`` arbiter
         crashes redone from the journal this epoch.  ``fleet`` carries
-        hierarchical-arbitration counters (racks refilled vs reused,
-        shed members, idle nodes) when a topology is configured; flat
+        hierarchical-arbitration counters (racks water-filled, shed
+        members, idle nodes) when a topology is configured; flat
         runs pass ``None`` and their traces stay byte-identical to
         pre-fleet ones.
         """

@@ -45,11 +45,6 @@ import math
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from typing import Any
 
-try:  # pragma: no cover - exercised by absence only
-    import numpy as np
-except ImportError:  # pragma: no cover - screen then defers everything
-    np = None  # type: ignore[assignment]
-
 from repro.cluster.node import NodeEpochReport
 
 #: multiplier applied to the trust score on each violating epoch.
@@ -84,12 +79,6 @@ BOOT_FLOOR_FACTOR = 2.0
 #: Honest daemons compute ``headroom = max(cap - power, 0)`` from the
 #: same floats they report, so the honest mismatch is exactly zero.
 _CONSISTENCY_TOL_W = 1e-6
-
-#: below this many fresh reports the vectorized screen costs more in
-#: numpy call overhead than the per-report path it would save (the
-#: fixed array-building cost amortizes past roughly this point, since
-#: a full :meth:`DemandValidator.validate` pass runs ~2.5 us/report).
-_SCREEN_MIN_BATCH = 8
 
 #: brownout ladder levels, in order.
 BROWNOUT_LEVELS = ("normal", "brownout1", "brownout2", "shed")
@@ -279,87 +268,75 @@ class DemandValidator:
         zero, still admits it), and an unclamped accept is proof the
         reading sits under the platform bound.
 
-        **Tier 1** replicates the :meth:`validate` ceiling in one
-        numpy pass over the residue (movers, first reports), but
-        accepts only readings strictly inside it — no float
-        tolerance, so borderline readings fall through to
-        :meth:`validate` for the authoritative verdict, and a NaN
-        anywhere (channels or missing anchor) fails every comparison
-        and defers too.  Accepted movers have their anchors and
-        clean-tuples updated here, exactly as :meth:`validate` would.
+        **Tier 1** replicates the :meth:`validate` checks inline over
+        the residue (movers, first reports), but accepts only readings
+        the checks pass with no float tolerance, so borderline readings
+        fall through to :meth:`validate` for the authoritative verdict;
+        a non-finite channel or a missing rate anchor defers too.
+        Accepted movers have their anchors and clean-tuples updated
+        here, exactly as :meth:`validate` would.  Plain float
+        arithmetic: the residue is tens of reports per epoch, where
+        array setup would cost more than the checks.
 
         The combined outcome — accepted reports, violation verdicts,
         validator state — is identical to validating every report
         individually; the property tests assert that equivalence on
-        adversarial batches.  Small batches skip screening entirely
-        (per-report validation is cheaper than the setup), as does a
-        build without numpy.
+        adversarial batches.
         """
-        n = len(reports)
-        if n < _SCREEN_MIN_BATCH:
-            return range(n)
         cut = epoch - self._ttl
         rest: list[int] = []
-        last_get = self._last_clean.get
         defer = rest.append
+        last_get = self._last_clean.get
+        anchor_get = self._prev_power.get
+        isfinite = math.isfinite
         for i, report in enumerate(reports):
+            if report.epoch < cut:
+                defer(i)  # stale payload: a violation
+                continue
             t = last_get(report.name)
             if (
                 t is not None
-                and report.epoch >= cut
                 and t[0] == report.mean_power_w  # repro-lint: disable=float-equality — settled-memo bit-identity is intended
                 and t[1] == report.throttle_pressure
                 and t[2] == report.headroom_w  # repro-lint: disable=float-equality — settled-memo bit-identity is intended
                 and t[3] == report.cap_w  # repro-lint: disable=float-equality — settled-memo bit-identity is intended
             ):
                 continue
-            defer(i)
-        if np is None or len(rest) < _SCREEN_MIN_BATCH:
-            return rest
-        sub = [reports[i] for i in rest]
-        p = np.array([r.mean_power_w for r in sub])
-        tp = np.array([r.throttle_pressure for r in sub])
-        h = np.array([r.headroom_w for r in sub])
-        c = np.array([r.cap_w for r in sub])
-        e = np.array([r.epoch for r in sub])
-        f = np.array([floors[names[i]] for i in rest])
-        m = np.array([maxes[names[i]] for i in rest])
-        g = np.array([granted.get(names[i], 0.0) for i in rest])
-        prev = np.array(
-            [self._prev_power.get(r.name, math.nan) for r in sub]
-        )
-        # NaN fails every comparison, landing the report in the
-        # suspect set — exactly where a non-finite reading belongs.
-        ok = np.abs(h - np.maximum(c - p, 0.0)) <= _CONSISTENCY_TOL_W
-        ok &= (tp >= 0.0) & (tp <= 1.0)
-        ok &= e >= cut
-        claimed = np.minimum(np.maximum(c, 0.0), m)
-        ceiling = np.minimum(
-            np.maximum.reduce(
-                [
-                    np.maximum(g, claimed) * CAP_OVERAGE,
-                    f * BOOT_FLOOR_FACTOR,
+            power = report.mean_power_w
+            throttle = report.throttle_pressure
+            headroom = report.headroom_w
+            cap = report.cap_w
+            prev = anchor_get(report.name)
+            if (
+                prev is None
+                or not (
+                    isfinite(power)
+                    and isfinite(throttle)
+                    and isfinite(headroom)
+                    and isfinite(cap)
+                )
+                or not 0.0 <= throttle <= 1.0
+                or abs(headroom - max(cap - power, 0.0)) > _CONSISTENCY_TOL_W
+            ):
+                defer(i)
+                continue
+            name = names[i]
+            max_cap_w = maxes[name]
+            claimed = min(max(cap, 0.0), max_cap_w)
+            ceiling = min(
+                max(
+                    max(granted.get(name, 0.0), claimed) * CAP_OVERAGE,
+                    floors[name] * BOOT_FLOOR_FACTOR,
                     prev * RATE_GROWTH,
-                ]
-            ),
-            m * PLATFORM_MARGIN,
-        )
-        ok &= p <= ceiling
-        if not bool(ok.any()):
-            return rest
-        for j in np.nonzero(ok)[0].tolist():
-            report = sub[j]
-            self._prev_power[report.name] = report.mean_power_w
-            self._last_clean[report.name] = (
-                report.mean_power_w,
-                report.throttle_pressure,
-                report.headroom_w,
-                report.cap_w,
+                ),
+                max_cap_w * PLATFORM_MARGIN,
             )
-        suspects: list[int] = [
-            rest[j] for j in np.nonzero(~ok)[0].tolist()
-        ]
-        return suspects
+            if not power <= ceiling:
+                defer(i)
+                continue
+            self._prev_power[report.name] = power
+            self._last_clean[report.name] = (power, throttle, headroom, cap)
+        return rest
 
     def forget(self, name: str) -> None:
         """Drop a retired member's rate-limit anchor."""

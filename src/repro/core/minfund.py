@@ -102,6 +102,14 @@ def proportional_targets(
     Infeasible totals degrade gracefully: below the sum of floors every
     claim gets its floor (the paper's no-starvation rule over-commits
     rather than starving); above the sum of ceilings everyone gets hi.
+
+    The level is found by FastCap's breakpoint sweep (PAPERS.md), not
+    by iteration: the filled total is piecewise linear in L — a claim
+    contributes ``lo`` below ``L = lo/shares``, ``L * shares`` between
+    its breakpoints, and ``hi`` above ``L = hi/shares`` — so sorting the
+    ``2n`` breakpoints and sweeping them once finds the crossing segment
+    and the exact level inside it in ``O(n log n)``.  The ``current``
+    field of each claim is ignored.
     """
     if not claims:
         return {}
@@ -111,33 +119,60 @@ def proportional_targets(
         return {c.label: c.lo for c in claims}
     if total >= ceil_sum:
         return {c.label: c.hi for c in claims}
-
-    bounds = [(c.shares, c.lo, c.hi) for c in claims]
-
-    def placed(level: float) -> float:
-        # inline form of min(max(level * shares, lo), hi): same value
-        # (and same operand kept on ties) since lo <= hi
-        return sum([
-            lo if (x := level * shares) < lo else (hi if x > hi else x)
-            for shares, lo, hi in bounds
-        ])
-
-    lo_level = 0.0
-    hi_level = max(c.hi / c.shares for c in claims)
-    for _ in range(80):  # ~1e-24 relative precision, overkill but cheap
-        mid = (lo_level + hi_level) / 2
-        if placed(mid) < total:
-            if mid == lo_level:
-                break  # bracket unchanged: every later pass repeats this
-            lo_level = mid
-        else:
-            if mid == hi_level:
-                break
-            hi_level = mid
-    level = (lo_level + hi_level) / 2
+    level = _funding_level(total, claims, floor_sum)
     return {
         c.label: min(max(level * c.shares, c.lo), c.hi) for c in claims
     }
+
+
+def _funding_level(
+    total: float, claims: list[Claim], floor_sum: float
+) -> float:
+    """The level whose clamped sum equals ``total``, which lies
+    strictly between the floor and ceiling sums (so a crossing
+    exists)."""
+    # at lo/shares a claim leaves its floor and joins the proportional
+    # band; at hi/shares it saturates at its ceiling.  The claim index
+    # breaks ties deterministically; the level does not depend on tie
+    # order because the filled total is continuous in L.
+    events: list[tuple[float, int, int]] = []
+    for index, claim in enumerate(claims):
+        events.append((claim.lo / claim.shares, index, 0))
+        events.append((claim.hi / claim.shares, index, 1))
+    events.sort()
+    # between consecutive breakpoints filled(L) = fixed + L * slope:
+    # ``fixed`` sums the pinned claims (still at lo, or already at hi),
+    # ``slope`` the shares of claims in the proportional band
+    fixed = floor_sum
+    slope = 0.0
+    # per claim: 0 at its floor, 1 in the band, 2 at its ceiling
+    where = [0] * len(claims)
+    for point, index, kind in events:
+        if slope > 0.0 and (total - fixed) / slope <= point:
+            break
+        claim = claims[index]
+        where[index] = kind + 1
+        if kind == 0:
+            fixed -= claim.lo
+            slope += claim.shares
+        else:
+            slope -= claim.shares
+            fixed += claim.hi
+    # the running sums only locate the crossing segment: shares spanning
+    # orders of magnitude cancel in them, so the segment's sums are
+    # taken afresh before solving for the level
+    fixed = 0.0
+    slope = 0.0
+    for claim, state in zip(claims, where):
+        if state == 1:
+            slope += claim.shares
+        else:
+            fixed += claim.hi if state == 2 else claim.lo
+    if slope <= 0.0:  # pragma: no cover - float-residue backstop
+        # total < ceil_sum puts the crossing before the last
+        # breakpoint; float residue can push it just past
+        return events[-1][0]
+    return (total - fixed) / slope
 
 
 def pool_bounds(claims: list[Claim]) -> tuple[float, float]:

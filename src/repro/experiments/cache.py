@@ -67,7 +67,13 @@ if TYPE_CHECKING:
 #: brownout result counters, validator clamping in the grant path) —
 #: v4 cluster entries predate validation and must not satisfy v5
 #: lookups.
-CACHE_VERSION = 5
+#:
+#: v6: one exact water-fill everywhere — the daemon's share policies
+#: and every arbitration level use the breakpoint sweep instead of
+#: bisection (fills differ in the last bits), node claims are no longer
+#: quantized to 0.5 W, and the fleet result drops its rack-reuse
+#: counters — v5 entries hold grants the v6 arbiter no longer makes.
+CACHE_VERSION = 6
 
 #: default cache root (overridden by ``REPRO_CACHE_DIR``).
 DEFAULT_CACHE_DIR = "~/.cache/repro-power"

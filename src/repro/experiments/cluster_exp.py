@@ -92,10 +92,6 @@ class ClusterRunResult:
     shed_grants: int = 0
     #: node-epochs the diurnal schedule left idle (simulation skipped).
     idle_node_epochs: int = 0
-    #: rack water-fills actually recomputed across the run.
-    fleet_refilled: int = 0
-    #: rack fills reused from the dirty-subtree cache across the run.
-    fleet_reused: int = 0
     #: fraction of post-warm-up *active* node-epochs meeting the
     #: throttle SLO (1.0 when there were none, or on flat runs).
     slo_attainment: float = 1.0
@@ -256,12 +252,6 @@ def summarize_cluster_run(
         node_restarts=len(run.node_restarts),
         shed_grants=sum(len(g.shed) for g in run.grants),
         idle_node_epochs=sum(len(idle) for idle in run.idle_sets),
-        fleet_refilled=sum(
-            g.fleet_stats.get("refilled", 0) for g in run.grants
-        ),
-        fleet_reused=sum(
-            g.fleet_stats.get("reused", 0) for g in run.grants
-        ),
         slo_attainment=slo_met / slo_total if slo_total else 1.0,
         trust_violations=sum(
             len(g.trust_violations) for g in run.grants
@@ -316,8 +306,6 @@ def cluster_result_to_jsonable(result: ClusterRunResult) -> dict:
         "node_restarts": result.node_restarts,
         "shed_grants": result.shed_grants,
         "idle_node_epochs": result.idle_node_epochs,
-        "fleet_refilled": result.fleet_refilled,
-        "fleet_reused": result.fleet_reused,
         "slo_attainment": result.slo_attainment,
         "trust_violations": result.trust_violations,
         "quarantined_node_epochs": result.quarantined_node_epochs,
@@ -343,8 +331,6 @@ def cluster_result_from_jsonable(data: dict) -> ClusterRunResult:
         node_restarts=data.get("node_restarts", 0),
         shed_grants=data.get("shed_grants", 0),
         idle_node_epochs=data.get("idle_node_epochs", 0),
-        fleet_refilled=data.get("fleet_refilled", 0),
-        fleet_reused=data.get("fleet_reused", 0),
         slo_attainment=data.get("slo_attainment", 1.0),
         trust_violations=data.get("trust_violations", 0),
         quarantined_node_epochs=data.get("quarantined_node_epochs", 0),

@@ -1,10 +1,11 @@
 """Fleet-scale hierarchical power arbitration.
 
-Facility → row → rack → node budget domains (:mod:`.topology`), exact
-FastCap-style water-filling at the rack level (:mod:`.waterfill`), the
+Facility → row → rack → node budget domains (:mod:`.topology`), the
 diurnal traffic schedule and oversubscription safety check
-(:mod:`.schedule`), and the incremental dirty-subtree arbiter
-(:mod:`.arbiter`).
+(:mod:`.schedule`), and the arbiter that water-fills the budget down
+the domain tree every epoch with the same exact sweep the per-socket
+daemon uses (:mod:`.arbiter`; flat ``groups`` configs arbitrate a
+derived two-level tree).
 """
 
 from repro.fleet.schedule import (
@@ -22,7 +23,6 @@ from repro.fleet.topology import (
     rack_row_indices,
     validate_topology,
 )
-from repro.fleet.waterfill import waterfill, waterfill_level
 
 __all__ = [
     "DiurnalSchedule",
@@ -31,6 +31,7 @@ __all__ = [
     "OversubscriptionReport",
     "assess_oversubscription",
     "domain_from_jsonable",
+    "flat_topology",
     "grid_topology",
     "iter_domains",
     "leaf_racks",
@@ -38,15 +39,13 @@ __all__ = [
     "rack_of_map",
     "rack_row_indices",
     "validate_topology",
-    "waterfill",
-    "waterfill_level",
 ]
 
 
 def __getattr__(name: str):
     # FleetArbiter pulls in repro.cluster, which itself imports
     # repro.fleet.topology — resolve lazily to keep the import DAG.
-    if name in ("FleetArbiter", "make_arbiter"):
+    if name in ("FleetArbiter", "flat_topology", "make_arbiter"):
         from repro.fleet import arbiter
 
         return getattr(arbiter, name)

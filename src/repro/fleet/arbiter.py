@@ -1,40 +1,32 @@
-"""Hierarchical fleet arbitration with dirty-subtree incremental refill.
+"""Hierarchical power arbitration over a budget-domain tree.
 
-:class:`FleetArbiter` generalizes the flat PR-3
-:class:`~repro.cluster.arbiter.ClusterArbiter` to an arbitrary-depth
-domain tree (facility → row → rack → node): the facility budget flows
-down the tree — :func:`~repro.core.minfund.refill_pool` splits each
-interior domain's pool across its children by shares, and the exact
-FastCap sweep (:func:`~repro.fleet.waterfill.waterfill`) splits each
-rack's pool across its member nodes.  Membership, leases,
-reservations, demand aging, and the cap-sum invariant are all
-inherited unchanged — only the ``_arbitrate`` step is replaced.
+:class:`FleetArbiter` is the one arbitration path for every cluster
+config.  A config with a ``topology`` arbitrates that facility → row →
+rack → node tree; a flat ``groups`` config arbitrates the two-level
+tree :func:`flat_topology` derives from it (a root, then one leaf per
+non-empty group, or a single leaf when no groups are declared).
+Membership, leases, reservations, trust, demand aging, the exact trim,
+and the cap-sum invariant live in the base
+:class:`~repro.cluster.arbiter.ClusterArbiter`; this class supplies the
+``_arbitrate`` step.
 
-**Why incremental.**  At 1,000+ nodes the naive path — build a claim
-per node, bisect every rack, every epoch — dominates the control
-plane.  But a fleet in steady state barely changes: idle nodes report
-a constant synthetic demand, loaded nodes jitter within a watt.  The
-arbiter exploits that in three layers:
+Every epoch is recomputed from scratch, and the same primitive splits
+every level — :func:`~repro.core.minfund.proportional_targets`, the
+exact breakpoint sweep the per-socket daemon also uses:
 
-1. **Demand signatures** — per node, a cheap ``(last-fresh epoch,
-   age bucket)`` tuple that changes only when a new report landed or
-   held-over demand is mid-fade.  Unchanged signature ⇒ the cached
-   claim is exact, no recompute.
-2. **Quantized claims** — a recomputed claim rounds its demand
-   ceiling to :data:`DEMAND_QUANTUM_W`, so watt-level jitter maps to
-   the *same* claim and the node stays clean.  Only a claim that
-   actually moved marks its rack dirty.
-3. **Pool deadbands** — interior splits are recomputed every epoch
-   (they are O(#domains), cheap), but a *clean* rack whose new pool
-   moved less than :data:`POOL_SLACK_W` from the pool its cached caps
-   were filled at — and whose cached caps still fit under the new
-   pool — reuses those caps wholesale.  The fit condition keeps the
-   invariant inductive: reused sums never exceed assigned pools, so
-   Σ granted + Σ reserved ≤ budget holds exactly at every depth.
+1. **claims** — one per live node: demand ceiling from its last report
+   (slack, quarantined cores, stale-demand fade, trust discount), and
+   bounds shed per the brownout level in effect;
+2. **condense** bottom-up — a domain's floor is the sum of its live
+   members' floors, its ceiling the sum of their ceilings clamped to
+   the domain's ``ceiling_w``;
+3. **split** top-down — each interior domain's pool is water-filled
+   across its children by domain shares, then each rack's pool across
+   its member nodes by node shares.
 
-The caches (signatures, claims, per-rack fills) ride inside
-:meth:`snapshot`, so an arbiter rebuilt from the journal after a crash
-makes the *same* reuse decisions and the run stays byte-identical.
+Splits never exceed their pool (floors aside, which the reservation
+shave makes fit), so Σ granted + Σ reserved ≤ budget holds at every
+depth up to float residue, which the base class's trim removes.
 
 **Oversubscription and shedding.**  Σ node ceilings may exceed the
 budget (see :mod:`repro.fleet.schedule` for the statistical-safety
@@ -46,153 +38,78 @@ grant — the graceful losing branch of the bet, never a violation.
 
 from __future__ import annotations
 
-from repro.cluster.arbiter import (
-    Arbitration,
-    ClusterArbiter,
-    DEMAND_SLACK,
-    _SUM_TOLERANCE,
-)
+from repro.cluster.arbiter import Arbitration, ClusterArbiter, DEMAND_SLACK
 from repro.cluster.config import ClusterConfig
 from repro.cluster.node import NodeEpochReport
 from repro.cluster.trust import brownout_claim_bounds
-from repro.core.minfund import Claim, refill_pool
-from repro.errors import ConfigError
-from repro.fleet.topology import iter_domains, leaf_racks
-from repro.fleet.waterfill import waterfill
+from repro.core.minfund import Claim, proportional_targets, refill_pool
+from repro.fleet.topology import DomainSpec, iter_domains, leaf_racks
 
-#: demand-ceiling quantization, watts: jitter below this keeps a
-#: node's claim — and therefore its rack — clean.
-DEMAND_QUANTUM_W = 0.5
+#: the rack fill under the module name the benchmark tracer wraps
+#: (``fleet.waterfill`` in perfbench/tracing.py).
+waterfill = proportional_targets
 
-#: pool deadband, watts: a clean rack reuses its cached caps while its
-#: assigned pool stays within this of the pool they were filled at.
-POOL_SLACK_W = 0.5
-
-#: margin shaved off the root pool before splitting, watts: keeps the
-#: bisection/sweep float residue strictly under budget so the exact
-#: trim (which would flush every reuse cache) never has to fire.
-_POOL_RESIDUE_MARGIN_W = 1e-3
+#: name of the root domain :func:`flat_topology` derives.
+FLAT_ROOT = "cluster"
 
 #: a member is shed when it wanted more than its floor but was granted
 #: within this of it.
 _SHED_TOLERANCE_W = 1e-6
 
 
+def flat_topology(config: ClusterConfig) -> DomainSpec:
+    """The two-level tree a flat ``groups`` config arbitrates over.
+
+    No groups: a single leaf holding every node.  Groups: a root whose
+    children are one leaf per group with members, in declaration
+    order, weighted by group shares.  The root takes a name no group
+    uses, so pools stay unambiguous.
+    """
+    names = tuple(spec.name for spec in config.nodes)
+    if not config.groups:
+        return DomainSpec(name=FLAT_ROOT, nodes=names)
+    taken = {group.name for group in config.groups}
+    root = FLAT_ROOT
+    while root in taken:
+        root += "+"
+    leaves = []
+    for group, shares in config.group_shares().items():
+        members = tuple(
+            spec.name for spec in config.nodes
+            if config.group_of(spec) == group
+        )
+        if members:
+            leaves.append(
+                DomainSpec(name=group, shares=shares, nodes=members)
+            )
+    return DomainSpec(name=root, children=tuple(leaves))
+
+
 class FleetArbiter(ClusterArbiter):
-    """Budget domains all the way down, arbitrated incrementally."""
+    """Budget domains all the way down, recomputed every epoch."""
 
     def __init__(self, config: ClusterConfig):
         super().__init__(config)
-        if config.topology is None:
-            raise ConfigError("FleetArbiter needs a config with a topology")
-        self.topology = config.topology
-        #: full recompute mode (every rack dirty every epoch): the
-        #: reference the property suite and bench compare against.
-        self.incremental = True
-        # -- static tree structure (preorder everywhere) -----------------
-        self._domains = tuple(iter_domains(self.topology))
-        self._interior = tuple(d for d in self._domains if not d.is_leaf)
+        self.topology = config.topology or flat_topology(config)
+        # static tree structure, preorder
+        self._interior = tuple(
+            d for d in iter_domains(self.topology) if not d.is_leaf
+        )
         self._racks = leaf_racks(self.topology)
-        self._rack_names = tuple(r.name for r in self._racks)
-        # -- static per-node constants (one platform resolve, at init) ---
-        self._node_shares: dict[str, float] = {}
-        self._node_lo: dict[str, float] = {}
-        self._node_hi_cap: dict[str, float] = {}
-        self._node_apps: dict[str, int] = {}
-        for spec in config.nodes:
-            self._node_shares[spec.name] = spec.shares
-            self._node_lo[spec.name] = spec.min_cap_w
-            self._node_hi_cap[spec.name] = spec.resolved_max_cap_w()
-            self._node_apps[spec.name] = len(spec.apps)
-        # -- incremental caches ------------------------------------------
-        #: per node: (last_fresh, age_bucket, trust score, brownout
-        #: level, top shares) the cached claim was computed under; a
-        #: matching signature means the claim is exact.
-        self._node_sigs: dict[str, tuple[float, ...]] = {}
-        #: per node: (shares, lo, quantized hi).
-        self._node_claims: dict[str, tuple[float, float, float]] = {}
-        #: per rack: live membership of the last epoch (claim order).
-        self._rack_live: dict[str, tuple[str, ...]] = {}
-        #: per rack: condensed (lo, hi) over the live members.
-        self._rack_cond: dict[str, tuple[float, float]] = {}
-        #: per rack: the pool its cached caps were filled at.
-        self._rack_pool: dict[str, float] = {}
-        #: per rack: the cached member caps, their float sum, and the
-        #: members shed at fill time.
-        self._rack_caps: dict[str, dict[str, float]] = {}
-        self._rack_capsum: dict[str, float] = {}
-        self._rack_shed: dict[str, tuple[str, ...]] = {}
+        # static per-node constants
+        self._node_shares = {spec.name: spec.shares for spec in config.nodes}
+        self._node_apps = {spec.name: len(spec.apps) for spec in config.nodes}
 
-    # -- membership hooks ---------------------------------------------------------
-
-    def retire(self, names: list[str]) -> None:
-        super().retire(names)
-        for name in names:
-            self._node_sigs.pop(name, None)
-            self._node_claims.pop(name, None)
-
-    def _caches_invalidated(self) -> None:
-        """The exact trim rewrote caps behind the rack caches: drop
-        them all so the next epoch re-fills from live state."""
-        self._rack_pool.clear()
-        self._rack_caps.clear()
-        self._rack_capsum.clear()
-        self._rack_shed.clear()
-
-    # -- checkpointing ------------------------------------------------------------
+    # The benchmark tracer (perfbench/tracing.py) wraps these two by
+    # name in this class's own namespace.
 
     def snapshot(self) -> dict:
-        state = super().snapshot()
-        state["fleet"] = {
-            "sigs": {n: list(sig) for n, sig in self._node_sigs.items()},
-            "claims": {
-                n: list(claim) for n, claim in self._node_claims.items()
-            },
-            "rack_live": {
-                r: list(live) for r, live in self._rack_live.items()
-            },
-            "rack_cond": {
-                r: list(cond) for r, cond in self._rack_cond.items()
-            },
-            "rack_pool": dict(self._rack_pool),
-            "rack_caps": {
-                r: dict(caps) for r, caps in self._rack_caps.items()
-            },
-            "rack_capsum": dict(self._rack_capsum),
-            "rack_shed": {
-                r: list(shed) for r, shed in self._rack_shed.items()
-            },
-        }
-        return state
+        return super().snapshot()
 
     def restore(self, state: dict) -> None:
+        # journals written before grants were exact also carry a
+        # "fleet" cache key; it is ignored
         super().restore(state)
-        fleet = state.get("fleet", {})
-        # pre-trust journals carry 2-tuple signatures: they restore
-        # verbatim and simply never match the 5-tuple the refresh
-        # computes, forcing a clean recompute instead of stale reuse
-        self._node_sigs = {
-            n: tuple(sig) for n, sig in fleet.get("sigs", {}).items()
-        }
-        self._node_claims = {
-            n: (claim[0], claim[1], claim[2])
-            for n, claim in fleet.get("claims", {}).items()
-        }
-        self._rack_live = {
-            r: tuple(live) for r, live in fleet.get("rack_live", {}).items()
-        }
-        self._rack_cond = {
-            r: (cond[0], cond[1])
-            for r, cond in fleet.get("rack_cond", {}).items()
-        }
-        self._rack_pool = dict(fleet.get("rack_pool", {}))
-        self._rack_caps = {
-            r: dict(caps) for r, caps in fleet.get("rack_caps", {}).items()
-        }
-        self._rack_capsum = dict(fleet.get("rack_capsum", {}))
-        self._rack_shed = {
-            r: tuple(shed) for r, shed in fleet.get("rack_shed", {}).items()
-        }
 
     # -- the hierarchical arbitration ---------------------------------------------
 
@@ -205,220 +122,127 @@ class FleetArbiter(ClusterArbiter):
         degraded: list[str],
     ) -> tuple[dict[str, float], tuple[str, ...], dict[str, int], float]:
         live_set = set(live)
-        dirty: set[str] = set()
-        dirty_nodes = 0
         level = self.brownout.level
-        top_shares = max(
-            (self._node_shares[n] for n in live), default=0.0
-        )
-        # hoisted per epoch: when no node holds a degraded score the
-        # per-node trust probes below collapse to one dict lookup and
-        # the claim path skips the discount call entirely
-        trust_scores = self.trust.scores
-        all_trusted = not trust_scores
-        # 1. refresh claims + find dirty racks (cheap O(n) scan; the
-        # per-node work is two dict lookups unless demand moved)
+        top_shares = max((self._node_shares[n] for n in live), default=0.0)
+        # 1. claims per live rack, condensed to (lo, hi)
+        rack_claims: dict[str, list[Claim]] = {}
+        cond: dict[str, tuple[float, float]] = {}
         for rack in self._racks:
-            members = tuple(n for n in rack.nodes if n in live_set)
-            if members != self._rack_live.get(rack.name):
-                self._rack_live[rack.name] = members
-                dirty.add(rack.name)
-            for name in members:
+            claims = []
+            for name in rack.nodes:
+                if name not in live_set:
+                    continue
                 report = self._last_report.get(name)
                 if report is None and self._admitted_at[name] != epoch:
+                    # demand-blind grant for an established member: a
+                    # tick storm ate its first samples
                     degraded.append(name)
-                age = self._age(name, epoch)
-                bucket = 0 if age <= 1 else min(age, self.lease_ttl + 1)
-                sig = (
-                    float(self._last_fresh.get(name, -1)),
-                    float(bucket),
-                    trust_scores.get(name, 1.0),
-                    float(level),
-                    top_shares,
-                )
-                if sig != self._node_sigs.get(name):
-                    self._node_sigs[name] = sig
-                    claim = self._fleet_claim(
-                        name, report, age, level, top_shares,
-                        all_trusted,
-                    )
-                    if claim != self._node_claims.get(name):
-                        self._node_claims[name] = claim
-                        dirty.add(rack.name)
-                        dirty_nodes += 1
-        if not self.incremental:
-            dirty.update(self._rack_names)
-        # 2. condense dirty racks (live-member sums, ceiling-clamped)
-        for rack in self._racks:
-            if rack.name not in dirty:
+                claims.append(self._claim(
+                    name, report, self._age(name, epoch), level, top_shares
+                ))
+            if not claims:
                 continue
-            members = self._rack_live[rack.name]
-            lo = sum(self._node_claims[n][1] for n in members)
-            hi = sum(self._node_claims[n][2] for n in members)
+            rack_claims[rack.name] = claims
+            hi = sum(c.hi for c in claims)
             if rack.ceiling_w is not None:
                 hi = min(hi, rack.ceiling_w)
-            self._rack_cond[rack.name] = (lo, hi)
-        # 3. condense interior domains bottom-up and split pools
-        # top-down — O(#domains), recomputed every epoch
-        cond: dict[str, tuple[float, float]] = {}
-        for domain in reversed(self._domains):
-            if domain.is_leaf:
-                if self._rack_live.get(domain.name):
-                    cond[domain.name] = self._rack_cond[domain.name]
+            cond[rack.name] = (sum(c.lo for c in claims), hi)
+        # 2. condense interior domains bottom-up
+        for domain in reversed(self._interior):
+            children = [
+                cond[child.name]
+                for child in domain.children
+                if child.name in cond
+            ]
+            if not children:
                 continue
-            los, his = 0.0, 0.0
-            empty = True
-            for child in domain.children:
-                child_cond = cond.get(child.name)
-                if child_cond is None:
-                    continue
-                empty = False
-                los += child_cond[0]
-                his += child_cond[1]
-            if not empty:
-                if domain.ceiling_w is not None:
-                    his = min(his, domain.ceiling_w)
-                cond[domain.name] = (los, his)
+            hi = sum(c[1] for c in children)
+            if domain.ceiling_w is not None:
+                hi = min(hi, domain.ceiling_w)
+            cond[domain.name] = (sum(c[0] for c in children), hi)
         pools: dict[str, float] = {}
-        stats = {
-            "racks": 0,
-            "refilled": 0,
-            "reused": 0,
-            "dirty_nodes": dirty_nodes,
-        }
         if self.topology.name not in cond:
-            return pools, (), stats, 0.0
-        pools[self.topology.name] = max(
-            budget - _POOL_RESIDUE_MARGIN_W, cond[self.topology.name][0]
-        )
+            return pools, (), {"racks": 0}, 0.0
+        # 3. split pools top-down, then fill each live rack
+        pools[self.topology.name] = budget
         for domain in self._interior:
             pool = pools.get(domain.name)
             if pool is None:
                 continue
-            child_claims = [
-                Claim(
-                    label=child.name,
-                    shares=child.shares,
-                    current=0.0,
-                    lo=cond[child.name][0],
-                    hi=cond[child.name][1],
-                )
+            pools.update(refill_pool(pool, [
+                Claim(child.name, child.shares, 0.0, *cond[child.name])
                 for child in domain.children
                 if child.name in cond
-            ]
-            pools.update(refill_pool(pool, child_claims))
-        # 4. fill (or reuse) each live rack
+            ]))
         shed: list[str] = []
         live_sum = 0.0
-        for rack in self._racks:
-            members = self._rack_live[rack.name]
-            if not members:
-                continue
-            stats["racks"] += 1
-            pool = pools[rack.name]
-            cached_pool = self._rack_pool.get(rack.name)
-            if (
-                rack.name not in dirty
-                and cached_pool is not None
-                and abs(pool - cached_pool) <= POOL_SLACK_W
-                and self._rack_capsum[rack.name] <= pool + _SUM_TOLERANCE
-            ):
-                stats["reused"] += 1
-                caps.update(self._rack_caps[rack.name])
-                shed.extend(self._rack_shed[rack.name])
-                live_sum += self._rack_capsum[rack.name]
-                continue
-            stats["refilled"] += 1
-            claims = [
-                Claim(
-                    label=n,
-                    shares=self._node_claims[n][0],
-                    current=0.0,
-                    lo=self._node_claims[n][1],
-                    hi=self._node_claims[n][2],
-                )
-                for n in members
-            ]
-            fill = waterfill(pool, claims)
-            capsum = sum(fill[n] for n in members)
-            rack_shed = tuple(
-                n
-                for n in members
-                if self._node_claims[n][2]
-                > self._node_lo[n] + DEMAND_QUANTUM_W / 2
-                and fill[n] <= self._node_lo[n] + _SHED_TOLERANCE_W
-            )
+        for rack_name, claims in rack_claims.items():
+            fill = waterfill(pools[rack_name], claims)
             caps.update(fill)
-            shed.extend(rack_shed)
-            live_sum += capsum
-            self._rack_pool[rack.name] = pool
-            self._rack_caps[rack.name] = fill
-            self._rack_capsum[rack.name] = capsum
-            self._rack_shed[rack.name] = rack_shed
-        return pools, tuple(shed), stats, live_sum
+            for claim in claims:
+                cap = fill[claim.label]
+                live_sum += cap
+                floor = self._node_floor[claim.label]
+                if (
+                    claim.hi > floor + _SHED_TOLERANCE_W
+                    and cap <= floor + _SHED_TOLERANCE_W
+                ):
+                    shed.append(claim.label)
+        return pools, tuple(shed), {"racks": len(rack_claims)}, live_sum
 
-    def _fleet_claim(
+    def _claim(
         self,
         name: str,
         report: NodeEpochReport | None,
         age: int,
         level: int,
         top_shares: float,
-        all_trusted: bool,
-    ) -> tuple[float, float, float]:
-        """The flat arbiter's claim, quantized and ``current``-free.
-
-        Mirrors :meth:`ClusterArbiter._claim` (demand slack, quarantine
-        scaling, stale-demand fade, trust discount, brownout shedding)
-        but snaps the ceiling to the demand quantum so watt-level
-        jitter cannot dirty a rack, and drops the ``current`` field the
-        water-fill never reads.
-        """
-        lo = self._node_lo[name]
-        hi_cap = self._node_hi_cap[name]
+    ) -> Claim:
+        """One live member's claim: trust-discounted demand ceiling,
+        bounds shed per the brownout level in effect."""
+        lo = self._node_floor[name]
+        hi_cap = self._node_max[name]
         if report is None:
-            raw = hi_cap
+            # no demand history: an unconstrained bid, bounded only by
+            # the node's configured cap range
+            hi = hi_cap
         else:
             wants = report.mean_power_w + report.throttle_pressure * max(
                 hi_cap - report.mean_power_w, 0.0
             )
             n_apps = self._node_apps[name]
             healthy = max(n_apps - report.quarantined_cores, 0) / n_apps
-            raw = min(wants * DEMAND_SLACK * healthy, hi_cap)
+            hi = min(wants * DEMAND_SLACK * healthy, hi_cap)
             if age > 1:
+                # held-over demand ages toward the floor: the first
+                # stale epoch keeps the full holdover, then the ceiling
+                # decays linearly over the lease TTL so a stale report
+                # cannot pin budget forever
                 fade = max(0.0, 1.0 - (age - 1) / self.lease_ttl)
-                raw = lo + (max(raw, lo) - lo) * fade
-            raw = max(raw, lo)
-        if not all_trusted:
-            raw = self.trust.discount_hi(name, lo, raw)
-        lo_eff, hi = brownout_claim_bounds(
+                hi = lo + (hi - lo) * fade
+        # the ceiling reaches the brownout bounds unfloored: BROWNOUT1
+        # sheds the floor of a node demanding less than it
+        hi = self.trust.discount_hi(name, lo, hi)
+        lo, hi = brownout_claim_bounds(
             level,
             floor_w=lo,
-            raw_hi_w=raw,
+            raw_hi_w=hi,
             shares=self._node_shares[name],
             top_shares=top_shares,
         )
-        if report is not None and hi > lo_eff:
-            hi = min(
-                lo_eff
-                + round((hi - lo_eff) / DEMAND_QUANTUM_W) * DEMAND_QUANTUM_W,
-                hi_cap,
-            )
-        return (self._node_shares[name], lo_eff, max(hi, lo_eff))
+        return Claim(name, self._node_shares[name], lo, lo, hi)
 
 
-def make_arbiter(config: ClusterConfig) -> ClusterArbiter:
-    """The arbiter matching the config: hierarchical when a topology
-    is declared, the flat two-level one otherwise."""
-    if config.topology is not None:
-        return FleetArbiter(config)
-    return ClusterArbiter(config)
+def make_arbiter(config: ClusterConfig) -> FleetArbiter:
+    """The arbiter for any config: an explicit topology, or the tree
+    derived from its flat groups."""
+    return FleetArbiter(config)
 
 
 __all__ = [
     "Arbitration",
-    "DEMAND_QUANTUM_W",
+    "FLAT_ROOT",
     "FleetArbiter",
-    "POOL_SLACK_W",
+    "flat_topology",
     "make_arbiter",
 ]

@@ -4,7 +4,8 @@ The acceptance criteria of the fleet layer, end to end on real
 simulated nodes: byte-identical traces across serial/stacked/fork
 stepping, a rack-level partition degrading exactly its own subtree,
 idle nodes never building simulation stacks, arbiter crashes invisible
-through the fleet caches, and the experiment + CLI wiring.
+through journal redo and supervisor recovery, and the experiment + CLI
+wiring.
 """
 
 import functools
@@ -13,7 +14,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.cluster import ClusterSim, run_cluster
+from repro.cluster import ClusterSim, Journal, recover_cluster_sim, run_cluster
 from repro.experiments.cluster_exp import (
     cluster_result_from_jsonable,
     cluster_result_to_jsonable,
@@ -93,8 +94,8 @@ class TestInvariant:
 
     def test_fleet_stats_flow_into_grants_and_trace(self):
         run = cached_clean_run()
-        assert any(g.fleet_stats.get("reused", 0) > 0 for g in run.grants)
-        assert "fleet.reused" in run.trace
+        assert all(g.fleet_stats["racks"] > 0 for g in run.grants)
+        assert "fleet.racks" in run.trace
         assert "fleet.idle" in run.trace
 
 
@@ -218,6 +219,47 @@ class TestCrashRecovery:
         assert differing == ["cluster.crash_recoveries"]
 
 
+    def test_journals_with_the_old_fleet_cache_key_replay(self):
+        # journals written while the arbiter kept rack caches carry a
+        # "fleet" key in every arbiter snapshot: recovery ignores it and
+        # continues byte-identically from every fence
+        config = tiny_fleet()
+        full = cached_clean_run()
+        fences = [e.epoch for e in full.journal.entries if e.kind == "fence"]
+        assert len(fences) == len(full.grants)
+        for fence in fences[:-1]:  # the last fence leaves nothing to run
+            old = Journal()
+            for entry in full.journal.entries:
+                data = entry.data
+                if entry.kind == "arbitration":
+                    data = dict(data, arbiter=dict(
+                        data["arbiter"], fleet=STALE_FLEET_CACHE
+                    ))
+                old.append(entry.kind, entry.epoch, data)
+                if entry.kind == "fence" and entry.epoch == fence:
+                    break
+            old = Journal.from_jsonl(old.to_jsonl())
+            sim, nxt = recover_cluster_sim(config, old)
+            assert nxt == fence + 1
+            tail = sim.run(duration_of(config), start_epoch=nxt)
+            assert tail.grants == full.grants[nxt:]
+            assert tail.reports == full.reports[nxt:]
+            assert tail.lease_states == full.lease_states[nxt:]
+
+
+#: the shape of the rack-cache state pre-change snapshots carried.
+STALE_FLEET_CACHE = {
+    "sigs": {"row0/rack0/n000": [3.0, 0.0, 1.0, 0.0, 1.0]},
+    "claims": {"row0/rack0/n000": [1.0, 15.0, 60.5]},
+    "rack_live": {"row0/rack0": ["row0/rack0/n000"]},
+    "rack_cond": {"row0/rack0": [15.0, 60.5]},
+    "rack_pool": {"row0/rack0": 99.0},
+    "rack_caps": {"row0/rack0": {"row0/rack0/n000": 60.5}},
+    "rack_capsum": {"row0/rack0": 60.5},
+    "rack_shed": {"row0/rack0": []},
+}
+
+
 class TestExperimentWiring:
     def test_experiment_summary_and_cache_round_trip(self):
         config = tiny_fleet()
@@ -225,7 +267,6 @@ class TestExperimentWiring:
         assert result.cap_violations == 0
         assert 0.0 <= result.slo_attainment <= 1.0
         assert result.idle_node_epochs > 0
-        assert result.fleet_reused > 0
         rows = fleet_rollup(result)
         assert [r["domain"] for r in rows] == ["row0", "row1"]
         assert sum(r["nodes"] for r in rows) == len(config.nodes)

@@ -13,9 +13,10 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterArbiter, ClusterConfig, GroupSpec, NodeSpec
+from repro.cluster import ClusterConfig, GroupSpec, NodeSpec
 from repro.cluster.node import NodeEpochReport
 from repro.config import AppSpec
+from repro.fleet import FleetArbiter
 
 APPS = tuple(AppSpec("cactusBSSN", shares=50.0) for _ in range(6))
 
@@ -68,7 +69,7 @@ def random_report(rng, spec, epoch, cap):
 def test_invariants_hold_under_random_demand(seed):
     rng = random.Random(seed)
     config = random_config(rng)
-    arbiter = ClusterArbiter(config)
+    arbiter = FleetArbiter(config)
     arbiter.admit([spec.name for spec in config.nodes])
     grant = arbiter.rebalance(0, {})
     for epoch in range(1, 12):
@@ -103,7 +104,7 @@ def test_saturated_cluster_spends_whole_budget(seed):
     )
     budget = rng.uniform(n_nodes * 12.0, n_nodes * 40.0)
     config = ClusterConfig(budget_w=budget, nodes=nodes)
-    arbiter = ClusterArbiter(config)
+    arbiter = FleetArbiter(config)
     arbiter.admit([spec.name for spec in nodes])
     grant = arbiter.rebalance(0, {})
     reports = {

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterArbiter, ClusterConfig, NodeSpec
+from repro.cluster import ClusterConfig, NodeSpec
 from repro.cluster.lease import NodeLease
 from repro.cluster.node import NodeEpochReport
 from repro.cluster.transport import (
@@ -29,13 +29,14 @@ from repro.cluster.transport import (
     fold_reports,
 )
 from repro.config import AppSpec
+from repro.fleet import FleetArbiter
 
 APPS = tuple(AppSpec("cactusBSSN", shares=50.0) for _ in range(6))
 
 N_NODES = 4
 
 
-def make_arbiter() -> ClusterArbiter:
+def make_arbiter() -> FleetArbiter:
     nodes = tuple(
         NodeSpec(
             name=f"n{i}",
@@ -47,7 +48,7 @@ def make_arbiter() -> ClusterArbiter:
         for i in range(N_NODES)
     )
     config = ClusterConfig(budget_w=150.0, nodes=nodes)
-    arbiter = ClusterArbiter(config)
+    arbiter = FleetArbiter(config)
     arbiter.admit([spec.name for spec in nodes])
     return arbiter
 
@@ -98,7 +99,7 @@ def scramble(
     return scrambled
 
 
-def grants_fingerprint(arbiter: ClusterArbiter, folded: dict) -> str:
+def grants_fingerprint(arbiter: FleetArbiter, folded: dict) -> str:
     grant = arbiter.rebalance(
         max((env_epoch for env_epoch in (r.epoch + 1 for r in folded.values())),
             default=0),

@@ -1,26 +1,32 @@
-"""``proportional_targets`` against the full 80-pass bisection, bit for bit.
+"""``proportional_targets`` (the breakpoint sweep) against bisection.
 
-The production water-fill stops bisecting once a pass leaves the
-``(lo_level, hi_level)`` bracket unchanged — a fixed point, so every
-remaining pass would repeat it — and evaluates the clamp with inline
-comparisons.  The oracle below is the original form: 80 unconditional
-passes of ``min(max(level * shares, lo), hi)``.  Both must return the
-same floats for every claim set, including pinned claims (``lo ==
-hi``), single claims, and totals within an ulp of the floor and
-ceiling sums, where the early exits take over.
+The production water-fill solves for the common funding level exactly,
+with FastCap's breakpoint sweep.  The oracle below is the form it
+replaced: 80 unconditional bisection passes of
+``min(max(level * shares, lo), hi)``, whose precision is the float
+resolution of the level itself.  Two independent solvers of the same
+equation must agree on every claim set — pinned claims (``lo == hi``),
+single claims, and totals within an ulp of the floor and ceiling sums,
+where the infeasible-pool exits take over — to within 1e-12 of the
+problem's watt scale, and the sweep must place exactly the total it
+was given.
 """
 
 from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.minfund import Claim, proportional_targets
 
+#: agreement bound, relative to the problem's watt scale.
+REL_TOL = 1e-12
 
-def oracle_targets(total, claims):
+
+def bisection_targets(total, claims):
+    """The 80-pass bisection water-fill: the test oracle."""
     if not claims:
         return {}
     floor_sum = sum(c.lo for c in claims)
@@ -47,8 +53,23 @@ def oracle_targets(total, claims):
     }
 
 
-def _hex(targets):
-    return [(label, value.hex()) for label, value in targets.items()]
+def assert_agrees_with_bisection(total, claims):
+    sweep = proportional_targets(total, claims)
+    oracle = bisection_targets(total, claims)
+    assert list(sweep) == list(oracle)
+    floor_sum = sum(c.lo for c in claims)
+    ceil_sum = sum(c.hi for c in claims)
+    scale = max(abs(total), ceil_sum, 1.0)
+    for label, value in sweep.items():
+        assert abs(value - oracle[label]) <= REL_TOL * scale, label
+    # conservation: an infeasible total pins every claim at a bound
+    # exactly; a feasible one is placed in full
+    if total <= floor_sum:
+        assert sweep == {c.label: c.lo for c in claims}
+    elif total >= ceil_sum:
+        assert sweep == {c.label: c.hi for c in claims}
+    else:
+        assert abs(math.fsum(sweep.values()) - total) <= REL_TOL * scale
 
 
 @st.composite
@@ -98,12 +119,19 @@ def cases(draw):
 
 
 @given(cases())
+@example((  # shares spanning orders of magnitude: the sweep's running
+    # slope cancels to ~1e-3 with an error in its 12th digit
+    462.0,
+    [
+        Claim("pinned", 1.0, 5.0, 5.0, 5.0),
+        Claim("big", 61.0, 0.0, 0.0, 158.0),
+        Claim("small", 1e-3, 0.0, 0.0, 300.0),
+    ],
+))
 @settings(max_examples=600, deadline=None)
 def test_matches_full_bisection(case):
     total, claims = case
-    assert _hex(proportional_targets(total, claims)) == _hex(
-        oracle_targets(total, claims)
-    )
+    assert_agrees_with_bisection(total, claims)
 
 
 @given(
@@ -116,9 +144,7 @@ def test_matches_full_bisection(case):
 def test_single_claim_matches_full_bisection(lo, width, shares, steps):
     claims = [Claim("only", shares, lo, lo, lo + width)]
     total = _nudge(lo + width / 2, steps)
-    assert _hex(proportional_targets(total, claims)) == _hex(
-        oracle_targets(total, claims)
-    )
+    assert_agrees_with_bisection(total, claims)
 
 
 def test_pinned_claims_beside_open_ones():
@@ -135,6 +161,5 @@ def test_pinned_claims_beside_open_ones():
         (floor_sum + ceil_sum) / 2,
         floor_sum + 1e-9,
     ):
-        assert _hex(proportional_targets(total, claims)) == _hex(
-            oracle_targets(total, claims)
-        )
+        assert_agrees_with_bisection(total, claims)
+

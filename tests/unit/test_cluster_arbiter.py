@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.cluster import ClusterArbiter, ClusterConfig, GroupSpec, NodeSpec
+from repro.cluster import ClusterConfig, GroupSpec, NodeSpec
 from repro.cluster.node import NodeEpochReport
 from repro.config import AppSpec
 from repro.errors import ConfigError
+from repro.fleet import FleetArbiter
 
 APPS = tuple(AppSpec("cactusBSSN", shares=50.0) for _ in range(6))
 
@@ -35,7 +36,7 @@ def report(name, epoch=0, *, power, pressure=1.0, cap=30.0,
 
 def make_arbiter(*nodes, budget=75.0, groups=()):
     config = ClusterConfig(budget_w=budget, nodes=nodes, groups=groups)
-    arbiter = ClusterArbiter(config)
+    arbiter = FleetArbiter(config)
     arbiter.admit([spec.name for spec in nodes])
     return arbiter
 
@@ -51,14 +52,14 @@ class TestFirstEpoch:
 
     def test_empty_membership_grants_nothing(self):
         config = ClusterConfig(budget_w=75.0, nodes=(node("a"),))
-        arbiter = ClusterArbiter(config)
+        arbiter = FleetArbiter(config)
         grant = arbiter.rebalance(0, {})
         assert grant.caps_w == {}
         assert grant.total_w == 0.0
 
     def test_admit_validates_names(self):
         config = ClusterConfig(budget_w=75.0, nodes=(node("a"),))
-        arbiter = ClusterArbiter(config)
+        arbiter = FleetArbiter(config)
         with pytest.raises(ConfigError):
             arbiter.admit(["ghost"])
 

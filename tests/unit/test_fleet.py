@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from repro.core.minfund import Claim, refill_pool
+from repro.core.minfund import Claim, proportional_targets
 from repro.errors import ConfigError
 from repro.fleet import (
     DiurnalSchedule,
@@ -22,8 +22,8 @@ from repro.fleet import (
     rack_of_map,
     rack_row_indices,
     validate_topology,
-    waterfill,
 )
+from tests.property.test_waterfill_oracle_props import bisection_targets
 
 
 # -- topology ---------------------------------------------------------------------
@@ -152,21 +152,23 @@ def claims_of(bounds):
 
 class TestWaterfill:
     def test_empty_claims(self):
-        assert waterfill(100.0, []) == {}
+        assert proportional_targets(100.0, []) == {}
 
     def test_infeasible_low_pool_degrades_to_floors(self):
         claims = claims_of([(1.0, 10.0, 40.0), (1.0, 12.0, 40.0)])
-        assert waterfill(5.0, claims) == {"c0": 10.0, "c1": 12.0}
+        assert proportional_targets(5.0, claims) == {"c0": 10.0, "c1": 12.0}
 
     def test_abundant_pool_gives_every_ceiling(self):
         claims = claims_of([(1.0, 10.0, 40.0), (2.0, 10.0, 30.0)])
-        assert waterfill(500.0, claims) == {"c0": 40.0, "c1": 30.0}
+        assert proportional_targets(500.0, claims) == {
+            "c0": 40.0, "c1": 30.0
+        }
 
     def test_exact_sum_and_share_proportionality(self):
         claims = claims_of(
             [(2.0, 5.0, 100.0), (1.0, 5.0, 100.0), (1.0, 5.0, 100.0)]
         )
-        fill = waterfill(80.0, claims)
+        fill = proportional_targets(80.0, claims)
         assert math.isclose(sum(fill.values()), 80.0, abs_tol=1e-9)
         # nobody pinned at a bound: allocations follow shares exactly
         assert math.isclose(fill["c0"], 2 * fill["c1"], rel_tol=1e-12)
@@ -188,8 +190,8 @@ class TestWaterfill:
             lo_sum = sum(c.lo for c in claims)
             hi_sum = sum(c.hi for c in claims)
             pool = rng.uniform(lo_sum * 0.5, hi_sum * 1.2)
-            sweep = waterfill(pool, claims)
-            bisect = refill_pool(pool, claims)
+            sweep = proportional_targets(pool, claims)
+            bisect = bisection_targets(pool, claims)
             for claim in claims:
                 assert math.isclose(
                     sweep[claim.label], bisect[claim.label], abs_tol=1e-6

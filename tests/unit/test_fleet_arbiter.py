@@ -1,23 +1,27 @@
 """Unit tests for the hierarchical fleet arbiter.
 
-The contract under test: the FleetArbiter is a drop-in
-:class:`~repro.cluster.arbiter.ClusterArbiter` whose grants honour the
-budget invariant at every tree depth, whose incremental dirty-subtree
-path agrees with full recomputation to within the documented pool
-deadband, and whose caches ride snapshots so crash recovery replays
-the same reuse decisions byte for byte.
+The contract under test: the FleetArbiter is the one concrete
+:class:`~repro.cluster.arbiter.ClusterArbiter` — flat ``groups``
+configs arbitrate a derived two-level tree and get the same caps as
+the equivalent explicit topology — whose grants honour the budget
+invariant at every tree depth, whose claims shed floors per the
+brownout ladder, and whose snapshots replay byte for byte.
 """
 
 import math
 
 import pytest
 
-from repro.cluster import ClusterArbiter, ClusterConfig, NodeSpec
+from repro.cluster import ClusterConfig, GroupSpec, NodeSpec
 from repro.cluster.node import NodeEpochReport
 from repro.config import AppSpec
-from repro.errors import ConfigError
-from repro.fleet import grid_topology
-from repro.fleet.arbiter import POOL_SLACK_W, FleetArbiter, make_arbiter
+from repro.fleet import DomainSpec, grid_topology
+from repro.fleet.arbiter import (
+    FLAT_ROOT,
+    FleetArbiter,
+    flat_topology,
+    make_arbiter,
+)
 
 APPS = tuple(AppSpec("cactusBSSN", shares=50.0) for _ in range(4))
 
@@ -51,12 +55,7 @@ def report(name, epoch, power, *, cap=45.0, throttle=0.0, samples=10,
 
 
 def demand_wave(config, epoch, *, jitter=0.0):
-    """Deterministic per-node demand, optionally watt-jittered.
-
-    The bases are multiples of 0.4 W, so after the arbiter's 1.25x
-    demand slack they land exactly on the 0.5 W quantization grid and
-    jitter below 0.2 W provably re-quantizes to the same claim.
-    """
+    """Deterministic per-node demand, optionally watt-jittered."""
     reports = {}
     for index, spec in enumerate(config.nodes):
         base = 16.0 + 2.0 * (index % 5)
@@ -75,15 +74,92 @@ class TestDispatch:
             nodes=(NodeSpec("a", apps=APPS, min_cap_w=10.0),),
         )
         arbiter = make_arbiter(config)
-        assert type(arbiter) is ClusterArbiter
+        # no topology and no groups: the derived tree is one leaf
+        assert isinstance(arbiter, FleetArbiter)
+        assert arbiter.topology == DomainSpec(name=FLAT_ROOT, nodes=("a",))
 
-    def test_fleet_arbiter_requires_topology(self):
-        config = ClusterConfig(
-            budget_w=100.0,
-            nodes=(NodeSpec("a", apps=APPS, min_cap_w=10.0),),
+
+def grouped_config(groups, members, budget_w=260.0):
+    """A flat config: ``members`` maps each node name to its group."""
+    nodes = tuple(
+        NodeSpec(
+            name=name,
+            apps=APPS,
+            shares=1.0 + index % 3,
+            min_cap_w=10.0,
+            max_cap_w=45.0,
+            group=group,
         )
-        with pytest.raises(ConfigError, match="topology"):
-            FleetArbiter(config)
+        for index, (name, group) in enumerate(members.items())
+    )
+    return ClusterConfig(budget_w=budget_w, nodes=nodes, groups=groups)
+
+
+def mixed_reports(names, epoch):
+    return {
+        name: report(
+            name, epoch, 12.0 + 7.0 * (i % 4), throttle=0.3 * (i % 3)
+        )
+        for i, name in enumerate(names)
+    }
+
+
+class TestFlatTree:
+    GROUPS = (GroupSpec("prod", shares=3.0), GroupSpec("batch", 1.0),
+              GroupSpec("spare", 2.0))
+    MEMBERS = {"a": "prod", "b": "batch", "c": "prod", "d": "batch",
+               "e": "prod"}
+
+    def test_groups_derive_a_root_and_one_leaf_per_nonempty_group(self):
+        config = grouped_config(self.GROUPS, self.MEMBERS)
+        root = flat_topology(config)
+        assert root == DomainSpec(name=FLAT_ROOT, children=(
+            DomainSpec(name="prod", shares=3.0, nodes=("a", "c", "e")),
+            DomainSpec(name="batch", shares=1.0, nodes=("b", "d")),
+        ))
+
+    def test_flat_groups_match_the_explicit_two_level_topology(self):
+        flat = grouped_config(self.GROUPS, self.MEMBERS)
+        explicit = ClusterConfig(
+            budget_w=flat.budget_w,
+            nodes=tuple(
+                NodeSpec(name=s.name, apps=s.apps, shares=s.shares,
+                         min_cap_w=s.min_cap_w, max_cap_w=s.max_cap_w)
+                for s in flat.nodes
+            ),
+            topology=DomainSpec(name="facility", children=(
+                DomainSpec(name="prod", shares=3.0, nodes=("a", "c", "e")),
+                DomainSpec(name="batch", shares=1.0, nodes=("b", "d")),
+            )),
+        )
+        names = list(self.MEMBERS)
+        a, b = FleetArbiter(flat), FleetArbiter(explicit)
+        a.admit(names)
+        b.admit(names)
+        for epoch in range(6):
+            reports = mixed_reports(names, epoch) if epoch else {}
+            ga, gb = a.rebalance(epoch, reports), b.rebalance(epoch, reports)
+            assert ga.caps_w == gb.caps_w
+            assert ga.shed == gb.shed
+            for group in ("prod", "batch"):
+                assert ga.group_pools_w[group] == gb.group_pools_w[group]
+
+    def test_group_named_like_the_derived_root(self):
+        groups = (GroupSpec(FLAT_ROOT, shares=1.0),
+                  GroupSpec(FLAT_ROOT + "+", shares=3.0))
+        members = {"a": FLAT_ROOT, "b": FLAT_ROOT + "+", "c": FLAT_ROOT}
+        config = grouped_config(groups, members, budget_w=100.0)
+        root = flat_topology(config)
+        assert root.name not in {g.name for g in groups}
+        arbiter = FleetArbiter(config)
+        arbiter.admit(list(members))
+        grant = arbiter.rebalance(0, {})
+        # the root pool and both group pools are reported unambiguously
+        assert grant.group_pools_w[root.name] == pytest.approx(100.0)
+        assert grant.group_pools_w[FLAT_ROOT] == pytest.approx(55.0)
+        assert grant.group_pools_w[FLAT_ROOT + "+"] == pytest.approx(45.0)
+        assert grant.caps_w["b"] == pytest.approx(45.0)
+        assert grant.total_w <= config.budget_w + 1e-9
 
 
 class TestInvariants:
@@ -167,75 +243,25 @@ class TestInvariants:
         arbiter.check_invariant(full=True)
 
 
-class TestIncremental:
-    def test_steady_demand_reuses_every_rack(self):
+class TestBrownout:
+    def test_idle_floor_sheds_on_a_topology_config(self):
+        # BROWNOUT1 sheds the floor held for a node demanding less than
+        # it: the claim must see the demand ceiling before any flooring
         config = fleet_config()
         arbiter = FleetArbiter(config)
         names = [s.name for s in config.nodes]
         arbiter.admit(names)
         arbiter.rebalance(0, {})
-        arbiter.rebalance(1, demand_wave(config, 1))
-        # sub-quantum jitter: claims re-quantize to the same grid point,
-        # every rack stays clean, every fill is reused
-        for epoch in range(2, 6):
-            grant = arbiter.rebalance(
-                epoch, demand_wave(config, epoch, jitter=0.1)
-            )
-            assert grant.fleet_stats["reused"] == 4
-            assert grant.fleet_stats["refilled"] == 0
-
-    def test_demand_step_dirties_only_its_rack(self):
-        config = fleet_config()
-        arbiter = FleetArbiter(config)
-        names = [s.name for s in config.nodes]
-        arbiter.admit(names)
-        arbiter.rebalance(0, {})
-        arbiter.rebalance(1, demand_wave(config, 1))
-        reports = demand_wave(config, 2)
-        mover = names[0]
-        reports[mover] = report(mover, 2, 38.0, throttle=0.6)
-        grant = arbiter.rebalance(2, reports)
-        assert grant.fleet_stats["dirty_nodes"] == 1
-        assert grant.fleet_stats["refilled"] >= 1
-        # the other racks reuse unless the mover shifted their pools
-        # beyond the deadband
-        assert (
-            grant.fleet_stats["refilled"] + grant.fleet_stats["reused"]
-            == 4
-        )
-
-    def test_incremental_matches_full_within_deadband(self):
-        config = fleet_config(rows=2, racks=3, rack_nodes=3,
-                              budget_w=300.0)
-        names = [s.name for s in config.nodes]
-        incremental = FleetArbiter(config)
-        full = FleetArbiter(config)
-        full.incremental = False
-        incremental.admit(names)
-        full.admit(names)
-        for epoch in range(10):
-            reports = demand_wave(config, epoch, jitter=1.5)
-            a = incremental.rebalance(epoch, reports)
-            b = full.rebalance(epoch, reports)
-            assert set(a.caps_w) == set(b.caps_w)
-            for name in a.caps_w:
-                assert abs(a.caps_w[name] - b.caps_w[name]) <= (
-                    POOL_SLACK_W + 1e-6
-                )
-            assert b.fleet_stats["reused"] == 0
-
-    def test_first_epoch_is_exact(self):
-        config = fleet_config()
-        names = [s.name for s in config.nodes]
-        incremental = FleetArbiter(config)
-        full = FleetArbiter(config)
-        full.incremental = False
-        incremental.admit(names)
-        full.admit(names)
-        reports = demand_wave(config, 0)
-        a = incremental.rebalance(0, reports)
-        b = full.rebalance(0, reports)
-        assert a.caps_w == b.caps_w
+        reports = demand_wave(config, 1)
+        idle = names[0]
+        reports[idle] = report(idle, 1, 2.0)
+        arbiter.brownout.restore({"level": 1, "over": 0, "under": 0})
+        grant = arbiter.rebalance(1, reports)
+        assert grant.brownout == 1
+        # 2 W * 1.25 slack is under the 0.6 idle fraction of the 10 W
+        # floor, so the claim collapses to that fraction
+        assert grant.caps_w[idle] == pytest.approx(6.0)
+        assert grant.total_w <= config.budget_w + 1e-9
 
 
 class TestSnapshot:
@@ -256,7 +282,7 @@ class TestSnapshot:
             reports = demand_wave(config, epoch, jitter=1.0)
             a = arbiter.rebalance(epoch, reports)
             b = clone.rebalance(epoch, reports)
-            assert a == b  # caps, pools, shed, stats: reuse decisions too
+            assert a == b  # caps, pools, shed, stats
 
     def test_snapshot_round_trips_through_json(self):
         import json
